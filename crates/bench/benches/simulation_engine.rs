@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use tbp_arch::platform::PlatformConfig;
 use tbp_arch::units::Seconds;
-use tbp_core::experiments::PolicyKind;
+use tbp_core::scenario::{PolicyRegistry, PolicySpec};
 use tbp_core::sim::builder::Workload;
 use tbp_core::sim::{SimulationBuilder, SimulationConfig};
 use tbp_streaming::workload::WorkloadSpec;
@@ -17,17 +17,15 @@ use tbp_thermal::package::Package;
 fn bench_one_simulated_second(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_one_second_sdr");
     group.sample_size(10);
-    for policy in [
-        PolicyKind::ThermalBalancing,
-        PolicyKind::StopGo,
-        PolicyKind::EnergyBalancing,
-    ] {
-        group.bench_function(policy.label(), |b| {
+    let registry = PolicyRegistry::global();
+    for policy in ["thermal-balancing", "stop-and-go", "energy-balancing"] {
+        let spec = PolicySpec::named(policy).with_threshold(2.0);
+        group.bench_function(policy, |b| {
             b.iter(|| {
                 let mut sim = SimulationBuilder::new()
                     .with_package(Package::high_performance())
                     .with_workload(Workload::sdr())
-                    .with_policy_box(policy.instantiate(2.0))
+                    .with_policy_box(registry.instantiate(&spec).expect("built-in policy"))
                     .with_config(SimulationConfig {
                         warmup: Seconds::new(0.2),
                         ..SimulationConfig::paper_default()

@@ -95,9 +95,8 @@ struct Current {
     ns_per_step: f64,
     /// All measured cases, including the headline.
     cases: Vec<CaseReport>,
-    /// Wall-clock seconds of the scenario batch (`reproduce_all` equivalent,
-    /// 2 s measured window, cold cache). Negative when the scenario
-    /// directory was not found.
+    /// Wall-clock seconds of the shipped scenario batch (`reproduce_all`
+    /// equivalent, 2 s measured window, cold cache).
     reproduce_all_wall_s: f64,
     /// Whether `--quick` shortened the measurements.
     quick: bool,
@@ -191,28 +190,12 @@ fn measure_case(name: &str, mut sim: Simulation, steps: u64, trials: u32) -> Cas
     }
 }
 
-/// Wall time of the full scenario batch (2 s measured window, no cache).
+/// Wall time of the shipped scenario batch (2 s measured window, no cache).
 fn measure_reproduce_all() -> f64 {
-    let dir = tbp_bench::scenarios_dir();
-    let specs = match tbp_core::scenario::load_dir(&dir) {
-        Ok(specs) if !specs.is_empty() => specs
-            .into_iter()
-            .map(|spec| {
-                if spec.analysis.is_some() {
-                    spec
-                } else {
-                    tbp_bench::override_duration(spec, Seconds::new(2.0))
-                }
-            })
-            .collect::<Vec<_>>(),
-        _ => {
-            eprintln!(
-                "perf_report: no scenarios under {}; skipping end-to-end timing",
-                dir.display()
-            );
-            return -1.0;
-        }
-    };
+    let specs: Vec<_> = tbp_core::scenario::shipped()
+        .into_iter()
+        .map(|spec| tbp_bench::override_duration(spec, Seconds::new(2.0)))
+        .collect();
     let runner = Runner::new();
     let start = Instant::now();
     runner.run(&specs).expect("scenario batch runs");
@@ -401,9 +384,7 @@ fn main() {
     }
 
     let reproduce_all_wall_s = measure_reproduce_all();
-    if reproduce_all_wall_s >= 0.0 {
-        eprintln!("perf_report: scenario batch (2 s window) took {reproduce_all_wall_s:.2} s");
-    }
+    eprintln!("perf_report: scenario batch (2 s window) took {reproduce_all_wall_s:.2} s");
 
     let report = PerfReport {
         pr: 4,

@@ -3,12 +3,17 @@
 //!
 //! All tables and figures flow through `ScenarioSpec` + `Runner`: the TOML
 //! files expand into a batch of concrete runs that execute in parallel, and
-//! the printed tables are pivots of the returned reports. The two trace-based
-//! narratives (N1 warm-up, N2 transient) follow, built from the same specs.
+//! `tbp_bench::print_scenario` renders each scenario's reports (the same
+//! renderer `run_scenario` uses). The two trace-based narratives (N1
+//! warm-up, N2 transient) follow; they step their simulations directly.
 //!
 //! * `TBP_DURATION=<seconds>` shortens/lengthens the measured window.
 //! * `--json` / `--csv` (or `TBP_FORMAT`) emit the structured batch report.
 //! * `TBP_SCENARIOS=<dir>` points at an alternative scenario directory.
+//!   Without a scenario directory (e.g. outside the repository) the binary
+//!   runs the copies of the shipped files embedded in `tbp-core`, so the
+//!   batch is the same everywhere. A file that fails to load is an error
+//!   (exit 1), never a fallback.
 //! * `--cache-dir <dir>` (or `TBP_CACHE_DIR`) memoizes run reports by
 //!   content hash: a warm re-run performs zero simulations.
 //! * `--shard i/k` executes the i-th of k contiguous slices of the batch and
@@ -17,11 +22,17 @@
 //!   single-process run) and renders it.
 
 use tbp_arch::units::{Celsius, Seconds};
-use tbp_core::experiments::{paper_scenarios, ExperimentConfig, PolicyKind};
-use tbp_core::scenario::{BatchReport, RunReport, ScenarioSpec};
+use tbp_core::scenario::ScenarioSpec;
 use tbp_thermal::package::PackageKind;
 
+/// Sampling step (seconds) of the N2 balancing transient.
+const TRANSIENT_STEP: f64 = 0.05;
+
+/// Samples of the N2 transient: 10 s after the policy is enabled.
+const TRANSIENT_SAMPLES: u32 = 200;
+
 fn main() {
+    tbp_bench::exit_cleanly_on_panic();
     let duration = tbp_bench::measured_duration();
     let specs = load_specs(duration);
     let cli = tbp_bench::batch_cli();
@@ -32,186 +43,95 @@ fn main() {
         return;
     }
     for spec in &specs {
-        print_group(spec, &batch);
+        tbp_bench::print_scenario(spec, &batch);
     }
     // The two trace-based narratives step their simulations directly, so they
     // are neither shardable nor part of a merged batch — skip them when this
     // invocation only reassembles partial reports.
     if !cli.is_merge() {
-        warmup_and_transient();
+        warmup_gradient();
+        balancing_transient();
     }
 }
 
-/// Loads the scenario files, falling back to the built-in constructors when
-/// the directory is missing (e.g. when the binary runs outside the repo).
+/// Loads the scenario files with the measured window set to `duration`,
+/// falling back to the embedded shipped files when the directory is missing
+/// or holds no scenario. A present-but-broken file exits with an error:
+/// silently ignoring it would run something other than what the user
+/// pointed at.
 fn load_specs(duration: Seconds) -> Vec<ScenarioSpec> {
     let dir = tbp_bench::scenarios_dir();
-    match tbp_core::scenario::load_dir(&dir) {
-        Ok(specs) if !specs.is_empty() => specs
-            .into_iter()
-            .map(|spec| {
-                if spec.analysis.is_some() {
-                    spec
-                } else {
-                    tbp_bench::override_duration(spec, duration)
-                }
-            })
-            .collect(),
-        Ok(_) => {
-            eprintln!(
-                "note: no scenario files under {}; using built-in specs",
-                dir.display()
-            );
-            paper_scenarios(duration)
-        }
-        // A present-but-broken scenario file is an error, not a fallback:
-        // silently ignoring it would run something other than what the user
-        // pointed at.
-        Err(error) => {
-            if dir.is_dir() {
-                panic!("failed to load scenarios from {}: {error}", dir.display());
-            }
-            eprintln!(
-                "note: no scenario directory at {}; using built-in specs",
-                dir.display()
-            );
-            paper_scenarios(duration)
-        }
-    }
-}
-
-/// Renders the reports of one scenario with the pivot its figure uses.
-fn print_group(spec: &ScenarioSpec, batch: &BatchReport) {
-    let reports = batch.group(&spec.name);
-    if reports.is_empty() {
-        return;
-    }
-    if let Some(table) = reports[0].table() {
-        tbp_bench::print_table_report(table);
-        return;
-    }
-    match spec.name.as_str() {
-        "threshold-sweep-mobile" => print_sweep_figures(&reports, "mobile embedded", 7, 8),
-        "threshold-sweep-hiperf" => print_sweep_figures(&reports, "high-performance", 9, 10),
-        "migration-rate" => print_migration_rate(&reports),
-        "queue-capacity" => print_queue_capacity(&reports),
-        _ => tbp_bench::print_table(
-            &spec.name,
-            &tbp_bench::SUMMARY_HEADER,
-            &tbp_bench::summary_rows(&reports),
-        ),
-    }
-}
-
-fn print_sweep_figures(reports: &[&RunReport], package: &str, sigma_fig: u32, miss_fig: u32) {
-    let mut header = vec!["threshold [°C]"];
-    let policies = tbp_bench::policy_columns(reports);
-    header.extend(policies.iter().copied());
-    let sigma_rows = tbp_bench::pivot_threshold_policy(reports, |r| {
-        r.summary().map_or(f64::NAN, |s| s.mean_spatial_std_dev())
-    });
-    tbp_bench::print_table(
-        &format!("Figure {sigma_fig} — temperature σ [°C] vs threshold ({package} package)"),
-        &header,
-        &sigma_rows,
-    );
-    let miss_rows = tbp_bench::pivot_threshold_policy(reports, |r| {
-        r.summary()
-            .map_or(f64::NAN, |s| s.qos.deadline_misses as f64)
-    });
-    tbp_bench::print_table(
-        &format!("Figure {miss_fig} — deadline misses vs threshold ({package} package)"),
-        &header,
-        &miss_rows,
-    );
-}
-
-fn print_migration_rate(reports: &[&RunReport]) {
-    let of_package = |package: PackageKind| -> Vec<&RunReport> {
-        reports
-            .iter()
-            .copied()
-            .filter(|r| r.package == Some(package))
-            .collect()
+    let specs = if dir.is_dir() {
+        tbp_core::scenario::load_dir(&dir).unwrap_or_else(|e| {
+            tbp_bench::fail(format!("cannot load scenarios from {}: {e}", dir.display()))
+        })
+    } else {
+        Vec::new()
     };
-    let mobile = of_package(PackageKind::MobileEmbedded);
-    let hiperf = of_package(PackageKind::HighPerformance);
-    let rows: Vec<Vec<String>> = mobile
-        .iter()
-        .zip(&hiperf)
-        .map(|(m, h)| {
-            let ms = m.summary().expect("simulation report");
-            let hs = h.summary().expect("simulation report");
-            vec![
-                format!("{:.0}", m.threshold.unwrap_or(f64::NAN)),
-                format!("{:.2}", ms.migrations_per_second()),
-                format!("{:.0}", ms.migrated_kib_per_second()),
-                format!("{:.2}", hs.migrations_per_second()),
-                format!("{:.0}", hs.migrated_kib_per_second()),
-            ]
-        })
-        .collect();
-    tbp_bench::print_table(
-        "Figure 11 — migrations per second vs threshold (thermal balancing policy)",
-        &[
-            "threshold [°C]",
-            "mobile [1/s]",
-            "mobile [KiB/s]",
-            "high-perf [1/s]",
-            "high-perf [KiB/s]",
-        ],
-        &rows,
-    );
-}
-
-fn print_queue_capacity(reports: &[&RunReport]) {
-    let rows: Vec<Vec<String>> = reports
-        .iter()
-        .filter_map(|r| {
-            let s = r.summary()?;
-            Some(vec![
-                format!("{}", r.queue_capacity.unwrap_or(0)),
-                format!("{}", s.qos.deadline_misses),
-                format!("{}", s.qos.min_queue_level),
-                format!("{:.1}", s.qos.mean_queue_level),
-                format!("{}", s.migration.migrations),
-            ])
-        })
-        .collect();
-    tbp_bench::print_table(
-        "Queue capacity sweep (thermal balancing, 1 °C threshold, high-performance package)",
-        &[
-            "queue size [frames]",
-            "deadline misses",
-            "min queue level",
-            "mean queue level",
-            "migrations",
-        ],
-        &rows,
-    );
+    let specs = if specs.is_empty() {
+        eprintln!(
+            "note: no scenario files in {}; using the embedded shipped files",
+            dir.display()
+        );
+        tbp_core::scenario::shipped()
+    } else {
+        specs
+    };
+    specs
+        .into_iter()
+        .map(|spec| tbp_bench::override_duration(spec, duration))
+        .collect()
 }
 
 fn spread_of(temps: &[Celsius]) -> f64 {
-    temps
+    let (lo, hi) = temps
         .iter()
         .map(|c| c.as_celsius())
-        .fold(f64::MIN, f64::max)
-        - temps
-            .iter()
-            .map(|c| c.as_celsius())
-            .fold(f64::MAX, f64::min)
+        .fold((f64::MAX, f64::MIN), |(lo, hi), t| (lo.min(t), hi.max(t)));
+    hi - lo
 }
 
-/// The two trace-based narratives; they need intermediate temperatures, so
-/// they build their simulations from specs and step them directly.
-fn warmup_and_transient() {
-    // N1: warm-up gradient.
-    let mut sim = tbp_core::experiments::warmup_gradient_spec()
+/// One table row: a time label, each core's temperature and the spread.
+fn temperature_row(time: String, temps: &[Celsius]) -> Vec<String> {
+    let mut row = vec![time];
+    row.extend(temps.iter().map(|c| format!("{:.2}", c.as_celsius())));
+    row.push(format!("{:.2}", spread_of(temps)));
+    row
+}
+
+/// Prints [`temperature_row`]s of the paper's three cores under `title`.
+fn print_temperatures(title: &str, time: &str, rows: &[Vec<String>]) {
+    let header = [
+        time,
+        "core0 [°C]",
+        "core1 [°C]",
+        "core2 [°C]",
+        "spread [°C]",
+    ];
+    tbp_bench::print_table(title, &header, rows);
+}
+
+/// Narrative N1: 12.5 s of DVFS-only execution leave the cores stable but
+/// about 10 °C apart (paper).
+fn warmup_gradient() {
+    let mut sim = ScenarioSpec::new("warmup-gradient")
+        .with_policy("dvfs-only", 3.0)
+        .with_schedule(0.0, 12.5)
         .build()
         .expect("warm-up sim builds");
-    sim.run_for(Seconds::new(12.5)).expect("warm-up runs");
+    let mut rows = Vec::new();
+    let mut last = 0.0;
+    for t in [1.0, 2.5, 5.0, 7.5, 10.0, 12.5] {
+        sim.run_for(Seconds::new(t - last)).expect("warm-up runs");
+        last = t;
+        rows.push(temperature_row(format!("{t:.1}"), &sim.core_temperatures()));
+    }
+    print_temperatures(
+        "Narrative N1 — DVFS-only warm-up (12.5 s, mobile package)",
+        "time [s]",
+        &rows,
+    );
     let temps = sim.core_temperatures();
-    println!("\n== Narrative N1 — DVFS-only warm-up (12.5 s, mobile package) ==");
     println!(
         "core temperatures: {:.1} / {:.1} / {:.1} °C, gradient {:.1} °C (paper: ~10 °C)",
         temps[0].as_celsius(),
@@ -219,46 +139,54 @@ fn warmup_and_transient() {
         temps[2].as_celsius(),
         spread_of(&temps)
     );
+}
 
-    // N2: balancing transient after enabling the policy at 3 °C.
-    let config = ExperimentConfig {
-        package: PackageKind::MobileEmbedded,
-        policy: PolicyKind::ThermalBalancing,
-        threshold: 3.0,
-        warmup: Seconds::new(12.5),
-        duration: Seconds::new(10.0),
-    };
-    let mut sim = config
-        .to_spec("balance-transient")
+/// Narrative N2: after the warm-up, the policy at ±3 °C balances the cores
+/// within a second and the hottest core stays above the upper threshold for
+/// less than 400 ms (paper).
+fn balancing_transient() {
+    let threshold = 3.0;
+    let mut sim = ScenarioSpec::new("balance-transient")
+        .with_package(PackageKind::MobileEmbedded)
+        .with_policy("thermal-balancing", threshold)
+        .with_schedule(12.5, 10.0)
         .build()
         .expect("transient sim builds");
     sim.run_for(Seconds::new(12.5)).expect("warm-up runs");
     let spread_before = spread_of(&sim.core_temperatures());
+    let mut rows = Vec::new();
     let mut balanced_after = None;
     let mut above_time = 0.0;
-    let step = 0.1;
-    let mut t = 0.0;
-    while t < 10.0 {
-        sim.run_for(Seconds::new(step)).expect("transient runs");
-        t += step;
+    for i in 1..=TRANSIENT_SAMPLES {
+        sim.run_for(Seconds::new(TRANSIENT_STEP))
+            .expect("transient runs");
+        let t = f64::from(i) * TRANSIENT_STEP;
         let temps = sim.core_temperatures();
         let mean = temps.iter().map(|c| c.as_celsius()).sum::<f64>() / temps.len() as f64;
         let max = temps
             .iter()
             .map(|c| c.as_celsius())
             .fold(f64::MIN, f64::max);
-        if max > mean + 3.0 {
-            above_time += step;
+        if max > mean + threshold {
+            above_time += TRANSIENT_STEP;
         }
-        if balanced_after.is_none() && spread_of(&temps) <= 2.0 * 3.0 {
+        if balanced_after.is_none() && spread_of(&temps) <= 2.0 * threshold {
             balanced_after = Some(t);
         }
+        // Every 0.5 s for the first 6 s.
+        if i % 10 == 0 && i <= 120 {
+            rows.push(temperature_row(format!("{t:.1}"), &temps));
+        }
     }
-    println!("\n== Narrative N2 — balancing transient (threshold 3 °C, mobile package) ==");
+    print_temperatures(
+        "Narrative N2 — balancing transient (threshold 3 °C, mobile package)",
+        "t after enable [s]",
+        &rows,
+    );
     println!(
-        "spread before enabling the policy: {spread_before:.1} °C; balanced (spread ≤ 6 °C) after {} s (paper: < 1 s); time above upper threshold {above_time:.1} s (paper: < 0.4 s)",
+        "spread before enabling the policy: {spread_before:.1} °C; balanced (spread ≤ 6 °C) after {} s (paper: < 1 s); time above upper threshold {above_time:.2} s (paper: < 0.4 s)",
         balanced_after
-            .map(|t| format!("{t:.1}"))
+            .map(|t| format!("{t:.2}"))
             .unwrap_or_else(|| "more than 10".into()),
     );
     let summary = sim.summary();

@@ -1,9 +1,12 @@
 //! Runs arbitrary scenario TOML files through the batch CLI.
 //!
 //! Where `reproduce_all` always executes the whole `scenarios/` directory,
-//! this binary runs exactly the files it is given — the CI smoke jobs use it
-//! to exercise individual scenarios (cold + warm against a cache), and it is
-//! the quickest way to iterate on a new scenario file:
+//! this binary runs exactly the files it is given and renders each with the
+//! same tables `reproduce_all` prints (`run_scenario
+//! scenarios/40_threshold_sweep_mobile.toml` prints Figures 7 and 8). The
+//! CI smoke jobs use it to exercise individual scenarios (cold + warm
+//! against a cache), and it is the quickest way to iterate on a new scenario
+//! file:
 //!
 //! ```sh
 //! cargo run --release -p tbp-bench --bin run_scenario -- \
@@ -46,19 +49,7 @@ fn main() {
         return;
     }
     for spec in &specs {
-        let reports = batch.group(&spec.name);
-        if reports.is_empty() {
-            continue;
-        }
-        if let Some(table) = reports[0].table() {
-            tbp_bench::print_table_report(table);
-        } else {
-            tbp_bench::print_table(
-                &spec.name,
-                &tbp_bench::SUMMARY_HEADER,
-                &tbp_bench::summary_rows(&reports),
-            );
-        }
+        tbp_bench::print_scenario(spec, &batch);
     }
 }
 

@@ -113,19 +113,7 @@ fn main() {
                 return;
             }
             for spec in &specs {
-                let reports = batch.group(&spec.name);
-                if reports.is_empty() {
-                    continue;
-                }
-                if let Some(table) = reports[0].table() {
-                    tbp_bench::print_table_report(table);
-                } else {
-                    tbp_bench::print_table(
-                        &spec.name,
-                        &tbp_bench::SUMMARY_HEADER,
-                        &tbp_bench::summary_rows(&reports),
-                    );
-                }
+                tbp_bench::print_scenario(spec, &batch);
             }
         }
         Err(e) => {

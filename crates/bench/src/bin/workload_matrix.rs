@@ -38,21 +38,21 @@ fn main() {
     }
 
     let reports: Vec<&RunReport> = batch.reports.iter().collect();
-    let policies = tbp_bench::policy_columns(&reports);
+    let policies = tbp_bench::distinct_labels(&reports, |r| r.policy.as_deref());
     let mut header = vec!["workload"];
     header.extend(policies.iter().copied());
 
-    let workloads = workload_rows(&reports);
+    let workloads = tbp_bench::distinct_labels(&reports, |r| r.workload.as_deref());
     let pivot = |metric: &dyn Fn(&RunReport) -> f64| -> Vec<Vec<String>> {
         workloads
             .iter()
             .map(|workload| {
-                let mut row = vec![workload.clone()];
+                let mut row = vec![workload.to_string()];
                 for policy in &policies {
                     let value = reports
                         .iter()
                         .find(|r| {
-                            r.workload.as_deref() == Some(workload)
+                            r.workload.as_deref() == Some(*workload)
                                 && r.policy.as_deref() == Some(*policy)
                         })
                         .map(|r| metric(r))
@@ -82,17 +82,4 @@ fn main() {
         &header,
         &pivot(&|r| r.summary().map_or(f64::NAN, |s| s.migrations_per_second())),
     );
-}
-
-/// The distinct workload labels of the batch, in first-appearance order.
-fn workload_rows(reports: &[&RunReport]) -> Vec<String> {
-    let mut workloads: Vec<String> = Vec::new();
-    for report in reports {
-        if let Some(workload) = report.workload.as_deref() {
-            if !workloads.iter().any(|w| w == workload) {
-                workloads.push(workload.to_string());
-            }
-        }
-    }
-    workloads
 }

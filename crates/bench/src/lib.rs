@@ -1,11 +1,11 @@
 //! # tbp-bench — experiment harness for the DATE 2008 reproduction
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper by
-//! building a [`ScenarioSpec`] (or loading
-//! one from the workspace's `scenarios/` directory), handing it to the
-//! parallel [`Runner`] and rendering the
-//! returned [`BatchReport`]. `reproduce_all` runs the whole evaluation from
-//! the TOML scenario files.
+//! The binaries in `src/bin/` load [`ScenarioSpec`]s from the workspace's
+//! `scenarios/` TOML files (the only definition of the paper's scenarios),
+//! hand them to the parallel [`Runner`] and render the returned
+//! [`BatchReport`]. `reproduce_all` runs the whole evaluation and
+//! `run_scenario` the files it is given; both print every table and figure
+//! through one renderer, [`print_scenario`].
 //!
 //! All binaries accept `--json` / `--csv` (or `TBP_FORMAT=json|csv`) to emit
 //! the structured reports instead of plain-text tables, and honour
@@ -45,12 +45,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tbp_arch::units::Seconds;
-use tbp_core::experiments::SweepPoint;
 use tbp_core::scenario::{
-    BatchReport, CacheMetrics, FsCache, PartialReport, RunReport, Runner, RunnerMetrics,
-    ScenarioSpec, ShardPlan,
+    BatchReport, CacheMetrics, FsCache, PartialReport, Runner, RunnerMetrics, ScenarioSpec,
+    ShardPlan,
 };
 use tbp_obs::{MetricsRegistry, SnapshotEmitter};
+
+mod render;
+
+pub use render::{distinct_labels, print_scenario, print_table};
 
 /// Measured duration used by the figure experiments (seconds of simulated
 /// time after the warm-up). Override with the `TBP_DURATION` environment
@@ -104,146 +107,6 @@ pub fn emit_structured(batch: &BatchReport) -> bool {
         }
         ReportFormat::Table => false,
     }
-}
-
-/// Prints a table header followed by aligned rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!(
-        "{}",
-        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-/// Prints an analytic table report.
-pub fn print_table_report(table: &tbp_core::scenario::TableReport) {
-    let header: Vec<&str> = table.header.iter().map(String::as_str).collect();
-    print_table(&table.title, &header, &table.rows);
-}
-
-/// The distinct policies of a report group, in first-appearance order.
-pub fn policy_columns<'a>(reports: &[&'a RunReport]) -> Vec<&'a str> {
-    let mut policies: Vec<&str> = Vec::new();
-    for report in reports {
-        if let Some(policy) = report.policy.as_deref() {
-            if !policies.contains(&policy) {
-                policies.push(policy);
-            }
-        }
-    }
-    policies
-}
-
-/// Pivots simulation reports into a threshold-indexed table with one metric
-/// column per policy — the layout of Figures 7–10.
-pub fn pivot_threshold_policy(
-    reports: &[&RunReport],
-    metric: impl Fn(&RunReport) -> f64,
-) -> Vec<Vec<String>> {
-    let mut thresholds: Vec<f64> = reports.iter().filter_map(|r| r.threshold).collect();
-    thresholds.sort_by(|a, b| a.partial_cmp(b).expect("thresholds are finite"));
-    thresholds.dedup();
-    let policies = policy_columns(reports);
-    thresholds
-        .iter()
-        .map(|&threshold| {
-            let mut row = vec![format!("{threshold:.0}")];
-            for policy in &policies {
-                let value = reports
-                    .iter()
-                    .find(|r| {
-                        r.policy.as_deref() == Some(*policy) && r.threshold == Some(threshold)
-                    })
-                    .map(|r| metric(r))
-                    .unwrap_or(f64::NAN);
-                row.push(format!("{value:.3}"));
-            }
-            row
-        })
-        .collect()
-}
-
-/// One summary row per simulation report (generic fallback rendering).
-pub fn summary_rows(reports: &[&RunReport]) -> Vec<Vec<String>> {
-    reports
-        .iter()
-        .filter_map(|report| {
-            let summary = report.summary()?;
-            Some(vec![
-                report.scenario.clone(),
-                format!("{:.3}", summary.mean_spatial_std_dev()),
-                format!("{:.2}", summary.mean_spread()),
-                format!("{}", summary.qos.deadline_misses),
-                format!("{:.2}", summary.migrations_per_second()),
-                format!("{:.0}", summary.migrated_kib_per_second()),
-            ])
-        })
-        .collect()
-}
-
-/// Header matching [`summary_rows`].
-pub const SUMMARY_HEADER: [&str; 6] = [
-    "scenario",
-    "σ [°C]",
-    "spread [°C]",
-    "misses",
-    "migrations/s",
-    "KiB/s",
-];
-
-/// Formats sweep points as a threshold-indexed table of one metric per
-/// policy (legacy layout over [`SweepPoint`]s).
-pub fn sweep_table(points: &[SweepPoint], metric: impl Fn(&SweepPoint) -> f64) -> Vec<Vec<String>> {
-    use std::collections::BTreeMap;
-    let mut thresholds: Vec<f64> = points.iter().map(|p| p.threshold).collect();
-    thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    thresholds.dedup();
-    let mut policies: Vec<&'static str> = Vec::new();
-    for p in points {
-        if !policies.contains(&p.policy.label()) {
-            policies.push(p.policy.label());
-        }
-    }
-    let mut by_key: BTreeMap<(String, String), f64> = BTreeMap::new();
-    for p in points {
-        by_key.insert(
-            (p.policy.label().to_string(), format!("{:.1}", p.threshold)),
-            metric(p),
-        );
-    }
-    thresholds
-        .iter()
-        .map(|t| {
-            let mut row = vec![format!("{t:.0}")];
-            for policy in &policies {
-                let v = by_key
-                    .get(&(policy.to_string(), format!("{t:.1}")))
-                    .copied()
-                    .unwrap_or(f64::NAN);
-                row.push(format!("{v:.3}"));
-            }
-            row
-        })
-        .collect()
 }
 
 /// Batch-level CLI options shared by the bench binaries: caching, sharding
@@ -474,13 +337,13 @@ pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Opti
         runner = runner.with_trace_dir(dir.clone());
     }
     if let Some(obs) = &obs {
-        runner = runner.with_metrics(RunnerMetrics::register(&obs.registry));
+        runner = runner.with_metrics(RunnerMetrics::register(obs.outputs.registry()));
     }
     if let Some(dir) = &cli.cache_dir {
         let mut cache = FsCache::open(dir)
             .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()));
         if let Some(obs) = &obs {
-            cache = cache.with_metrics(CacheMetrics::register(&obs.registry));
+            cache = cache.with_metrics(CacheMetrics::register(obs.outputs.registry()));
         }
         runner = runner.with_cache(cache);
     }
@@ -515,16 +378,15 @@ pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Opti
     Some(batch)
 }
 
-/// Live observability for one batch execution: the shared metrics registry
-/// plus the background outputs requested on the CLI — a JSONL heartbeat
-/// emitter, a `[progress]` stderr ticker and a Prometheus dump on
-/// completion. Purely additive: attaching it never changes the reports.
+/// Interval between metrics heartbeat lines and progress ticks.
+const METRICS_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Live observability for one batch execution: the [`MetricsOutputs`]
+/// requested on the CLI plus an optional `[progress]` stderr ticker. Purely
+/// additive: attaching it never changes the reports.
 struct LiveObs {
-    registry: MetricsRegistry,
-    started: Instant,
-    emitter: Option<SnapshotEmitter>,
+    outputs: MetricsOutputs,
     progress: Option<ProgressTicker>,
-    prom_path: Option<PathBuf>,
 }
 
 struct ProgressTicker {
@@ -533,32 +395,23 @@ struct ProgressTicker {
 }
 
 impl LiveObs {
-    /// Interval between heartbeat lines and progress ticks.
-    const INTERVAL: Duration = Duration::from_millis(500);
-
     fn start(cli: &BatchCli) -> Option<LiveObs> {
         if !cli.wants_observability() {
             return None;
         }
-        let registry = MetricsRegistry::new();
-        let emitter = cli.metrics.as_ref().map(|path| {
-            SnapshotEmitter::spawn(registry.clone(), path, Self::INTERVAL)
-                .unwrap_or_else(|e| panic!("cannot create metrics file {}: {e}", path.display()))
-        });
+        let outputs = MetricsOutputs::start(cli.metrics.as_deref(), cli.metrics_prom.as_deref())
+            .unwrap_or_else(|e| {
+                let path = cli.metrics.clone().unwrap_or_default();
+                panic!("cannot create metrics file {}: {e}", path.display())
+            });
         let progress = cli
             .progress
-            .then(|| spawn_progress(registry.clone(), Self::INTERVAL));
-        Some(LiveObs {
-            registry,
-            started: Instant::now(),
-            emitter,
-            progress,
-            prom_path: cli.metrics_prom.clone(),
-        })
+            .then(|| spawn_progress(outputs.registry().clone(), METRICS_INTERVAL));
+        Some(LiveObs { outputs, progress })
     }
 
-    /// Stops the background threads (each writes a final line) and dumps the
-    /// Prometheus exposition when requested.
+    /// Stops the progress ticker (which prints a final line), then finishes
+    /// the metrics outputs.
     fn finish(self) {
         if let Some(progress) = self.progress {
             progress.stop.store(true, Ordering::Relaxed);
@@ -566,18 +419,7 @@ impl LiveObs {
                 let _ = handle.join();
             }
         }
-        if let Some(emitter) = self.emitter {
-            if let Err(e) = emitter.finish() {
-                eprintln!("[metrics] heartbeat write failed: {e}");
-            }
-        }
-        if let Some(path) = &self.prom_path {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            let text = self.registry.snapshot(elapsed).to_prometheus();
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("[metrics] cannot write {}: {e}", path.display());
-            }
-        }
+        self.outputs.finish();
     }
 }
 
@@ -665,11 +507,11 @@ pub fn scenarios_dir() -> std::path::PathBuf {
 }
 
 /// Applies the `TBP_DURATION` override to a loaded scenario's measured
-/// duration.
-pub fn override_duration(
-    spec: tbp_core::scenario::ScenarioSpec,
-    duration: Seconds,
-) -> tbp_core::scenario::ScenarioSpec {
+/// duration; analytic tables, which simulate nothing, pass unchanged.
+pub fn override_duration(spec: ScenarioSpec, duration: Seconds) -> ScenarioSpec {
+    if spec.analysis.is_some() {
+        return spec;
+    }
     let warmup = spec.schedule().warmup.as_secs();
     spec.with_schedule(warmup, duration.as_secs())
 }
@@ -690,8 +532,8 @@ pub fn load_scenarios(paths: &[PathBuf]) -> Vec<ScenarioSpec> {
             let spec = tbp_core::scenario::load_toml_file(path)
                 .unwrap_or_else(|e| fail(format!("cannot load scenario {}: {e}", path.display())));
             match duration {
-                Some(duration) if spec.analysis.is_none() => override_duration(spec, duration),
-                _ => spec,
+                Some(duration) => override_duration(spec, duration),
+                None => spec,
             }
         })
         .collect()
@@ -742,12 +584,11 @@ pub fn exit_cleanly_on_panic() {
     }));
 }
 
-/// The metrics half of the batch runner's live observability, public for
-/// binaries (the `sweep_coord` /
-/// `sweep_worker` pair) whose instrumented subject is not a [`Runner`] batch:
-/// a shared registry plus the `--metrics` JSONL heartbeat emitter and the
-/// `--metrics-prom` completion dump. Attaching it never changes what the
-/// binary computes.
+/// The metrics half of the batch runner's live observability, also used
+/// directly by binaries (the `sweep_coord` / `sweep_worker` pair) whose
+/// instrumented subject is not a [`Runner`] batch: a shared registry plus
+/// the `--metrics` JSONL heartbeat emitter and the `--metrics-prom`
+/// completion dump. Attaching it never changes what the binary computes.
 pub struct MetricsOutputs {
     registry: MetricsRegistry,
     started: Instant,
@@ -772,7 +613,7 @@ impl MetricsOutputs {
             Some(path) => Some(SnapshotEmitter::spawn(
                 registry.clone(),
                 path,
-                Duration::from_millis(500),
+                METRICS_INTERVAL,
             )?),
             None => None,
         };

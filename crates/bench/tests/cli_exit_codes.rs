@@ -121,3 +121,20 @@ fn sweep_worker_reports_an_unreachable_coordinator_with_exit_1() {
     ]);
     assert_clean_failure(&run(cmd), 1, "coordinator unreachable");
 }
+
+#[test]
+fn reproduce_all_reports_a_broken_scenario_file_with_exit_1() {
+    let dir = std::env::temp_dir().join(format!("tbp_broken_scenarios_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scenario dir creates");
+    std::fs::write(
+        dir.join("10_broken.toml"),
+        "name = \"broken\"\n[schedule]\nduration = -1.0\n",
+    )
+    .expect("scenario file writes");
+    let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
+    cmd.env("TBP_SCENARIOS", &dir).env("TBP_DURATION", "1");
+    let out = run(cmd);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_clean_failure(&out, 1, "10_broken.toml");
+    assert_clean_failure(&out, 1, "schedule.duration");
+}

@@ -17,10 +17,9 @@
 //! * [`scenario`] — the declarative Scenario API: serde-serializable
 //!   [`ScenarioSpec`]s with sweep axes, a
 //!   [`PolicyRegistry`] resolving policy names,
-//!   and a parallel batch [`Runner`] returning structured
-//!   reports with JSON/CSV emission;
-//! * [`experiments`] — thin spec constructors reproducing every table and
-//!   figure of the paper's evaluation through the Scenario API.
+//!   a parallel batch [`Runner`] returning structured
+//!   reports with JSON/CSV emission, and the paper's evaluation as the
+//!   embedded scenario files ([`scenario::shipped`]).
 //!
 //! # Quick start
 //!
@@ -54,7 +53,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod error;
-pub mod experiments;
 pub mod metrics;
 pub mod policy;
 pub mod scenario;

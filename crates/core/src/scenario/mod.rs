@@ -7,8 +7,9 @@
 //!    (platform, thermal package, workload, policy, schedule), optionally
 //!    carrying [`SweepSpec`] axes that expand a single spec into a grid of
 //!    concrete runs (e.g. threshold × package × policy). TOML and JSON specs
-//!    round-trip; the workspace ships the whole paper as TOML files under
-//!    `scenarios/`.
+//!    round-trip. The workspace's `scenarios/` TOML files are the only
+//!    definition of the paper's evaluation; this crate embeds them
+//!    ([`shipped`]) so binaries run the same batch outside the repository.
 //! 2. [`PolicyRegistry`] — a name → factory registry resolving the policy
 //!    names specs use. The paper's four policies are built in; third-party
 //!    policies register without touching core code.
@@ -84,11 +85,21 @@ pub use shard::{PartialReport, ShardPlan};
 pub use spec::{
     package_label, workload_kind_label, AnalysisKind, PhaseSpec, PlatformSpec, PolicySpec,
     ResolvedSchedule, ScenarioSpec, ScheduleSpec, SpecDelta, SweepSpec, TraceSpec, WorkloadDecl,
-    WorkloadKind, DEFAULT_THRESHOLD,
+    WorkloadKind, DEFAULT_THRESHOLD, MAX_RUN_STEPS,
 };
 
 use crate::error::SimError;
 use std::path::Path;
+
+/// One `(file name, TOML text)` entry of [`SHIPPED_FILES`].
+macro_rules! shipped_file {
+    ($file:literal) => {
+        (
+            $file,
+            include_str!(concat!("../../../../scenarios/", $file)),
+        )
+    };
+}
 
 /// Loads one scenario from a TOML file.
 ///
@@ -121,4 +132,50 @@ pub fn load_dir(path: impl AsRef<Path>) -> Result<Vec<ScenarioSpec>, SimError> {
         .collect();
     files.sort();
     files.into_iter().map(load_toml_file).collect()
+}
+
+/// The workspace's `scenarios/*.toml` files, embedded at compile time as
+/// `(file name, TOML text)` pairs in file-name order — the order
+/// [`load_dir`] returns them in.
+pub const SHIPPED_FILES: [(&str, &str); 10] = [
+    shipped_file!("10_table1_power.toml"),
+    shipped_file!("20_table2_mapping.toml"),
+    shipped_file!("30_fig2_migration_cost.toml"),
+    shipped_file!("40_threshold_sweep_mobile.toml"),
+    shipped_file!("50_threshold_sweep_hiperf.toml"),
+    shipped_file!("60_migration_rate.toml"),
+    shipped_file!("70_queue_capacity.toml"),
+    shipped_file!("80_video_analytics.toml"),
+    shipped_file!("90_dag_sweep.toml"),
+    shipped_file!("95_phased_reconfig.toml"),
+];
+
+/// The paper's evaluation: the embedded [`SHIPPED_FILES`], parsed.
+///
+/// Equal by value to `load_dir("scenarios")` at the workspace root (a test
+/// pins this), so a binary running outside the repository executes exactly
+/// the batch the files on disk describe.
+pub fn shipped() -> Vec<ScenarioSpec> {
+    SHIPPED_FILES
+        .iter()
+        .map(|(file, text)| {
+            ScenarioSpec::from_toml_str(text)
+                .unwrap_or_else(|e| panic!("embedded scenario {file} is invalid: {e}"))
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shipped_scenarios_cover_the_evaluation() {
+        let specs = shipped();
+        assert_eq!(specs.len(), SHIPPED_FILES.len());
+        let runs: usize = specs.iter().map(|s| s.expand().len()).sum();
+        // 3 analytic tables + 2×(3 policies × 4 thresholds) + 2×4 migration
+        // rates + 9 queue sizes, then 3 video + 6 DAG runs + 1 phased run.
+        assert_eq!(runs, 3 + 24 + 8 + 9 + 3 + 6 + 1);
+    }
 }

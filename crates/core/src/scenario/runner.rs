@@ -254,8 +254,9 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns the first error in expansion order; runs that already
-    /// completed are discarded.
+    /// Returns [`SimError::Spec`] before anything runs when a spec fails
+    /// [`ScenarioSpec::validate`]. Otherwise returns the first error in
+    /// expansion order; runs that already completed are discarded.
     ///
     /// # Example
     ///
@@ -274,6 +275,7 @@ impl Runner {
     /// # }
     /// ```
     pub fn run(&self, specs: &[ScenarioSpec]) -> Result<BatchReport, SimError> {
+        validate_batch(specs)?;
         let cases = expand_batch(specs);
         let reports = self.execute(cases)?;
         Ok(BatchReport { reports })
@@ -304,6 +306,7 @@ impl Runner {
         specs: &[ScenarioSpec],
         plan: ShardPlan,
     ) -> Result<PartialReport, SimError> {
+        validate_batch(specs)?;
         let mut cases = expand_batch(specs);
         let total = cases.len();
         let batch = ScenarioHash::of_batch(cases.iter().map(|(g, c)| (g.as_str(), c)))?;
@@ -372,6 +375,7 @@ impl Runner {
     ///
     /// See [`run`](Self::run).
     pub fn run_one(&self, group: &str, case: &ScenarioSpec) -> Result<RunReport, SimError> {
+        case.validate()?;
         self.run_case(group.to_string(), case)
     }
 
@@ -804,10 +808,20 @@ fn run_phased(sim: &mut Simulation, case: &ScenarioSpec) -> Result<(), SimError>
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Spec`] when an expanded case cannot be hashed.
+/// Returns [`SimError::Spec`] when a spec fails
+/// [`ScenarioSpec::validate`] or an expanded case cannot be hashed.
 pub fn batch_digest(specs: &[ScenarioSpec]) -> Result<ScenarioHash, SimError> {
+    validate_batch(specs)?;
     let cases = expand_batch(specs);
     ScenarioHash::of_batch(cases.iter().map(|(group, case)| (group.as_str(), case)))
+}
+
+/// Validates every spec of a batch before it is expanded, so an invalid
+/// value can reach neither a simulation nor the cache. Validating the
+/// unexpanded spec covers its cases: expansion only substitutes sweep values,
+/// which [`ScenarioSpec::validate`] checks too.
+fn validate_batch(specs: &[ScenarioSpec]) -> Result<(), SimError> {
+    specs.iter().try_for_each(ScenarioSpec::validate)
 }
 
 /// Expands a spec list into `(group, concrete case)` pairs in the global,

@@ -21,7 +21,7 @@ use tbp_thermal::solver::SolverKind;
 use crate::error::SimError;
 use crate::scenario::registry::PolicyRegistry;
 use crate::sim::builder::Workload;
-use crate::sim::{Simulation, SimulationBuilder, SimulationConfig};
+use crate::sim::{step_count, Simulation, SimulationBuilder, SimulationConfig};
 use crate::trace::TrackSelection;
 
 /// Default policy threshold (°C) when a spec does not name one.
@@ -36,6 +36,14 @@ pub const DEFAULT_MIGRATION: MigrationStrategy = MigrationStrategy::TaskReplicat
 
 /// Default DVFS-governor setting when the platform section does not name one.
 pub const DEFAULT_DVFS: bool = true;
+
+/// The most co-simulation steps one run may take (warm-up plus measured
+/// window over the time step): 10⁸, about 3900× the longest run
+/// `perfbench` times (~25.6k steps) and 5.8 simulated days at the default
+/// 5 ms step. A larger count is a unit slip (a duration in milliseconds, a
+/// step in seconds), so [`ScenarioSpec::validate`] rejects it instead of
+/// tying up a worker for hours.
+pub const MAX_RUN_STEPS: u64 = 100_000_000;
 
 /// A declarative description of one experiment (or, with a sweep, a grid of
 /// experiments).
@@ -173,6 +181,71 @@ impl ScenarioSpec {
         self.phases.is_some()
     }
 
+    /// Validates every numeric field before the spec can reach a simulation
+    /// or a cache. Called by [`from_toml_str`](Self::from_toml_str),
+    /// [`from_json_str`](Self::from_json_str), the runner's batch expansion
+    /// and [`build`](Self::build). It rejects:
+    ///
+    /// * a non-finite or negative `threshold` (policy or sweep axis);
+    /// * a non-finite or negative `warmup` or `duration`;
+    /// * a non-finite or non-positive `time_step_ms` or `policy_period_ms`;
+    /// * a non-finite or negative `trace_interval_ms` (0 disables tracing);
+    /// * a run longer than [`MAX_RUN_STEPS`] steps;
+    /// * an invalid `[[phases]]` table ([`validate_phases`](Self::validate_phases)).
+    ///
+    /// A valid spec passes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Spec`] naming the scenario and the field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let field = |field: &str, requirement: &str, value: f64| {
+            SimError::Spec(format!(
+                "scenario `{}`: `{field}` must be {requirement} (got {value})",
+                self.name
+            ))
+        };
+        let policy_threshold = self.policy.as_ref().and_then(|p| p.threshold);
+        let sweep_thresholds = self.sweep.as_ref().and_then(|s| s.thresholds.as_deref());
+        let schedule = self.schedule.clone().unwrap_or_default();
+        let non_negative = [
+            ("policy.threshold", policy_threshold),
+            ("schedule.warmup", schedule.warmup),
+            ("schedule.duration", schedule.duration),
+            ("schedule.trace_interval_ms", schedule.trace_interval_ms),
+        ]
+        .into_iter()
+        .chain(
+            sweep_thresholds
+                .unwrap_or_default()
+                .iter()
+                .map(|&t| ("sweep.thresholds", Some(t))),
+        );
+        for (name, value) in non_negative {
+            if let Some(value) = value.filter(|&v| !is_non_negative(v)) {
+                return Err(field(name, NON_NEGATIVE, value));
+            }
+        }
+        for (name, value) in [
+            ("schedule.time_step_ms", schedule.time_step_ms),
+            ("schedule.policy_period_ms", schedule.policy_period_ms),
+        ] {
+            if let Some(value) = value.filter(|&v| !is_positive(v)) {
+                return Err(field(name, POSITIVE, value));
+            }
+        }
+        let resolved = schedule.resolve();
+        let steps = step_count(resolved.warmup + resolved.duration, resolved.time_step);
+        if steps > MAX_RUN_STEPS {
+            return Err(SimError::Spec(format!(
+                "scenario `{}`: `schedule` asks for {steps} steps, more than the \
+                 {MAX_RUN_STEPS} one run may take",
+                self.name
+            )));
+        }
+        self.validate_phases()
+    }
+
     /// Validates the `[[phases]]` table:
     ///
     /// * phase times are finite, non-negative and strictly ascending;
@@ -188,45 +261,39 @@ impl ScenarioSpec {
         };
         let mut prev = f64::NEG_INFINITY;
         for (i, phase) in phases.iter().enumerate() {
-            let place = format!("scenario `{}` phase #{i}", self.name);
-            if !phase.at.is_finite() || phase.at < 0.0 {
+            let place = || format!("scenario `{}` phase #{i}", self.name);
+            if !is_non_negative(phase.at) {
                 return Err(SimError::Spec(format!(
-                    "{place}: `at` must be a finite, non-negative time (got {})",
+                    "{}: `at` must be a finite, non-negative time (got {})",
+                    place(),
                     phase.at
                 )));
             }
             if phase.at <= prev {
                 return Err(SimError::Spec(format!(
-                    "{place}: phase times must be strictly ascending ({} after {prev})",
+                    "{}: phase times must be strictly ascending ({} after {prev})",
+                    place(),
                     phase.at
                 )));
             }
             prev = phase.at;
-            if phase.delta().is_empty() {
+            if phase.policy.is_none()
+                && phase.threshold.is_none()
+                && phase.policy_period_ms.is_none()
+                && phase.sensor_period_ms.is_none()
+            {
                 return Err(SimError::Spec(format!(
-                    "{place}: a phase must override at least one of \
-                     policy/threshold/policy_period_ms/sensor_period_ms"
+                    "{}: a phase must override at least one of \
+                     policy/threshold/policy_period_ms/sensor_period_ms",
+                    place()
                 )));
             }
-            if let Some(t) = phase.threshold {
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(SimError::Spec(format!(
-                        "{place}: threshold must be finite and positive (got {t})"
-                    )));
-                }
-            }
-            for (knob, value) in [
-                ("policy_period_ms", phase.policy_period_ms),
-                ("sensor_period_ms", phase.sensor_period_ms),
-            ] {
-                if let Some(ms) = value {
-                    if !ms.is_finite() || ms <= 0.0 {
-                        return Err(SimError::Spec(format!(
-                            "{place}: {knob} must be finite and positive (got {ms})"
-                        )));
-                    }
-                }
-            }
+            check_knobs(
+                phase.threshold,
+                phase.policy_period_ms,
+                phase.sensor_period_ms,
+            )
+            .map_err(|e| SimError::Spec(format!("{}: {e}", place())))?;
         }
         Ok(())
     }
@@ -469,7 +536,7 @@ impl ScenarioSpec {
         // Phases are validated here but *executed* by the Runner (which folds
         // `t = 0` phases into the static sections first): building a phased
         // spec yields its initial configuration.
-        self.validate_phases()?;
+        self.validate()?;
         let threshold = self.threshold();
         let schedule = self.schedule();
         let platform = self.platform.clone().unwrap_or_default();
@@ -512,9 +579,12 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Spec`] on malformed TOML.
+    /// Returns [`SimError::Spec`] on malformed TOML or a spec that fails
+    /// [`validate`](Self::validate).
     pub fn from_toml_str(text: &str) -> Result<Self, SimError> {
-        toml::from_str(text).map_err(|e| SimError::Spec(e.to_string()))
+        let spec: ScenarioSpec = toml::from_str(text).map_err(|e| SimError::Spec(e.to_string()))?;
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// Renders the spec as a TOML document.
@@ -526,15 +596,53 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Spec`] on malformed JSON.
+    /// Returns [`SimError::Spec`] on malformed JSON or a spec that fails
+    /// [`validate`](Self::validate).
     pub fn from_json_str(text: &str) -> Result<Self, SimError> {
-        serde_json::from_str(text).map_err(|e| SimError::Spec(e.to_string()))
+        let spec: ScenarioSpec =
+            serde_json::from_str(text).map_err(|e| SimError::Spec(e.to_string()))?;
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// Renders the spec as pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(self).expect("scenario specs always serialize")
     }
+}
+
+/// Requirement text of [`is_non_negative`] in validation errors.
+const NON_NEGATIVE: &str = "finite and non-negative";
+
+/// Requirement text of [`is_positive`] in validation errors.
+const POSITIVE: &str = "finite and positive";
+
+fn is_non_negative(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
+}
+
+fn is_positive(value: f64) -> bool {
+    value.is_finite() && value > 0.0
+}
+
+/// Checks the knobs a phase or a live delta may override: a finite,
+/// positive threshold and finite, positive periods (milliseconds). The error
+/// names the field; callers prefix where it came from.
+fn check_knobs(
+    threshold: Option<f64>,
+    policy_period_ms: Option<f64>,
+    sensor_period_ms: Option<f64>,
+) -> Result<(), String> {
+    for (name, value) in [
+        ("threshold", threshold),
+        ("policy_period_ms", policy_period_ms),
+        ("sensor_period_ms", sensor_period_ms),
+    ] {
+        if let Some(value) = value.filter(|&v| !is_positive(v)) {
+            return Err(format!("`{name}` must be {POSITIVE} (got {value})"));
+        }
+    }
+    Ok(())
 }
 
 /// Short human label for a package kind (used in expanded scenario names).
@@ -924,6 +1032,22 @@ impl SpecDelta {
         self
     }
 
+    /// Checks the overrides: a finite, positive threshold and finite,
+    /// positive periods. [`Simulation::apply_delta`] calls this before
+    /// touching any state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Spec`] naming the field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        check_knobs(
+            self.threshold,
+            self.policy_period.map(Seconds::as_millis),
+            self.sensor_period.map(Seconds::as_millis),
+        )
+        .map_err(|e| SimError::Spec(format!("reconfiguration delta: {e}")))
+    }
+
     /// Whether the delta carries no override at all.
     pub fn is_empty(&self) -> bool {
         self.policy.is_none()
@@ -1256,6 +1380,23 @@ mod tests {
         assert_eq!(sim.platform().num_cores(), 3);
         assert_eq!(sim.policy_name(), "dvfs-only");
         assert_eq!(sim.config().metrics_threshold, 2.0);
+    }
+
+    #[test]
+    fn short_spec_runs_end_to_end() {
+        // A deliberately short run to keep unit-test time low; the full-length
+        // sweeps run in the integration tests and benches.
+        let spec = ScenarioSpec::new("short")
+            .with_package(PackageKind::HighPerformance)
+            .with_policy("thermal-balancing", 2.0)
+            .with_schedule(2.0, 4.0);
+        let mut sim = spec.build().unwrap();
+        sim.run_for(spec.total_duration()).unwrap();
+        let summary = sim.summary();
+        assert_eq!(summary.policy, "thermal-balancing");
+        assert!(summary.total_time.as_secs() > 5.99);
+        assert!(summary.measured_time.as_secs() > 3.0);
+        assert!(summary.qos.frames_delivered > 0);
     }
 
     #[test]

@@ -84,15 +84,20 @@ impl SimulationConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for non-positive periods or a time
-    /// step larger than the policy period.
+    /// Returns [`SimError::InvalidConfig`] for non-finite or non-positive
+    /// periods (NaN included) or a time step larger than the policy period.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.time_step.is_zero() {
-            return Err(SimError::InvalidConfig("time step must be positive".into()));
-        }
-        if self.policy_period.is_zero() {
+        // `Seconds::is_zero` (`<= 0.0`) is false for NaN, so a NaN period
+        // would pass it; check finiteness and sign directly.
+        let positive = |t: Seconds| t.as_secs().is_finite() && t.as_secs() > 0.0;
+        if !positive(self.time_step) {
             return Err(SimError::InvalidConfig(
-                "policy period must be positive".into(),
+                "time step must be finite and positive".into(),
+            ));
+        }
+        if !positive(self.policy_period) {
+            return Err(SimError::InvalidConfig(
+                "policy period must be finite and positive".into(),
             ));
         }
         if self.time_step.as_secs() > self.policy_period.as_secs() + 1e-12 {
@@ -715,29 +720,11 @@ impl Simulation {
         }
         // Validate everything before touching any state: a rejected delta
         // must not leave the simulation half-reconfigured.
-        if let Some(threshold) = delta.threshold {
-            if !threshold.is_finite() || threshold <= 0.0 {
-                return Err(SimError::InvalidConfig(format!(
-                    "reconfigured threshold must be finite and positive (got {threshold})"
-                )));
-            }
-        }
+        delta.validate()?;
         if let Some(period) = delta.policy_period {
-            if !period.as_secs().is_finite() || period.is_zero() {
-                return Err(SimError::InvalidConfig(
-                    "reconfigured policy period must be positive".into(),
-                ));
-            }
             if self.config.time_step.as_secs() > period.as_secs() + 1e-12 {
                 return Err(SimError::InvalidConfig(
                     "reconfigured policy period must not be smaller than the time step".into(),
-                ));
-            }
-        }
-        if let Some(period) = delta.sensor_period {
-            if !period.as_secs().is_finite() || period.is_zero() {
-                return Err(SimError::InvalidConfig(
-                    "reconfigured sensor period must be positive".into(),
                 ));
             }
         }
@@ -1023,6 +1010,18 @@ mod tests {
             ..SimulationConfig::paper_default()
         };
         assert!(bad.validate().is_err());
+        for nan in [
+            SimulationConfig {
+                time_step: Seconds::new(f64::NAN),
+                ..SimulationConfig::paper_default()
+            },
+            SimulationConfig {
+                policy_period: Seconds::new(f64::NAN),
+                ..SimulationConfig::paper_default()
+            },
+        ] {
+            assert!(nan.validate().is_err(), "NaN periods must be rejected");
+        }
         let bad = SimulationConfig {
             time_step: Seconds::from_millis(50.0),
             ..SimulationConfig::paper_default()

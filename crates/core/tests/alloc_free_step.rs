@@ -286,3 +286,18 @@ fn steady_state_step_performs_zero_heap_allocations() {
     assert!(data.total_records() > 0);
     let _ = std::fs::remove_file(&lane_path);
 }
+
+/// Validating a spec is a handful of comparisons: a valid spec — every
+/// shipped scenario, phased and swept ones included — passes without a
+/// single allocation, so the runner's per-run check costs cache hits
+/// nothing.
+#[test]
+fn validating_a_valid_spec_performs_zero_heap_allocations() {
+    let specs = tbp_core::scenario::shipped();
+    let before = allocations();
+    for spec in &specs {
+        spec.validate().expect("shipped scenarios are valid");
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "ScenarioSpec::validate allocated");
+}

@@ -1,14 +1,24 @@
 //! Integration tests of the declarative Scenario API: serde round-trips
-//! (TOML and JSON), sweep-axis expansion, registry resolution errors, and
-//! the determinism of the parallel batch runner.
+//! (TOML and JSON), validation at the spec boundary, sweep-axis expansion,
+//! registry resolution errors, the determinism of the parallel batch runner,
+//! and the shipped scenarios' output pinned to committed golden files.
 
-use tbp_core::experiments::{paper_scenarios, THRESHOLD_SWEEP};
+use std::path::{Path, PathBuf};
+
 use tbp_core::policy::DvfsOnlyPolicy;
-use tbp_core::scenario::{load_dir, PolicyRegistry, Runner, ScenarioSpec, SweepSpec, WorkloadDecl};
+use tbp_core::scenario::{
+    load_dir, shipped, PolicyRegistry, Runner, ScenarioSpec, SpecDelta, SweepSpec, WorkloadDecl,
+};
 use tbp_core::SimError;
 
-use tbp_arch::units::Seconds;
 use tbp_thermal::package::PackageKind;
+
+/// How to rewrite the golden files after an intended output change.
+const BLESS: &str = "cargo test -p tbp-core --test scenario_api -- --ignored bless_golden_files";
+
+fn workspace() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 fn full_spec() -> ScenarioSpec {
     ScenarioSpec::new("round-trip")
@@ -46,8 +56,7 @@ fn json_round_trip_preserves_every_field() {
 
 #[test]
 fn shipped_scenario_files_parse_and_round_trip() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let specs = load_dir(&dir).expect("scenarios/ directory loads");
+    let specs = load_dir(workspace().join("scenarios")).expect("scenarios/ directory loads");
     assert_eq!(
         specs.len(),
         10,
@@ -63,14 +72,196 @@ fn shipped_scenario_files_parse_and_round_trip() {
             spec.name
         );
     }
-    // The shipped files start with the built-in constructors' runs, in the
-    // same order; the cross-workload scenarios follow.
-    let built_in = paper_scenarios(Seconds::new(20.0));
-    let shipped_names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-    let built_in_names: Vec<&str> = built_in.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(&shipped_names[..built_in_names.len()], &built_in_names[..]);
-    assert!(shipped_names.contains(&"video-analytics"));
-    assert!(shipped_names.contains(&"dag-sweep"));
+}
+
+/// The embedded copies are the files on disk, in the same order, so a
+/// binary running outside the repository runs the same batch.
+#[test]
+fn embedded_scenarios_equal_the_scenario_directory() {
+    let on_disk = load_dir(workspace().join("scenarios")).expect("scenarios/ directory loads");
+    assert_eq!(
+        shipped(),
+        on_disk,
+        "SHIPPED_FILES must embed every scenarios/*.toml file"
+    );
+}
+
+/// The shipped batch as `TBP_DURATION=2 reproduce_all --csv` prints it:
+/// every simulated scenario's measured window set to 2 s.
+fn shipped_csv_at_two_seconds() -> String {
+    let specs: Vec<ScenarioSpec> = shipped()
+        .into_iter()
+        .map(|spec| match spec.analysis {
+            Some(_) => spec,
+            None => {
+                let warmup = spec.schedule().warmup.as_secs();
+                spec.with_schedule(warmup, 2.0)
+            }
+        })
+        .collect();
+    let batch = Runner::new().run(&specs).expect("shipped batch runs");
+    batch.to_csv()
+}
+
+/// `<hash>  <scenario>` for every expanded run of the shipped files.
+fn shipped_hashes() -> String {
+    shipped()
+        .iter()
+        .flat_map(ScenarioSpec::expand)
+        .map(|case| {
+            let hash = case.content_hash().expect("expanded runs hash");
+            format!("{}  {}\n", hash.to_hex(), case.name)
+        })
+        .collect()
+}
+
+fn golden_path(file: &str) -> PathBuf {
+    workspace().join("tests/golden").join(file)
+}
+
+/// Compares `actual` with the committed golden file, naming the first line
+/// that differs and the command that regenerates the file.
+fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    let first_diff = expected
+        .lines()
+        .zip(actual.lines())
+        .position(|(a, b)| a != b);
+    assert!(
+        expected == actual,
+        "{} differs from this build's output (first differing line: {:?}); if the change \
+         is intended, regenerate the golden files with `{BLESS}` and commit them",
+        path.display(),
+        first_diff.map(|i| i + 1)
+    );
+}
+
+#[test]
+fn shipped_batch_csv_matches_the_golden_file() {
+    check_golden("reproduce_all_d2.csv", &shipped_csv_at_two_seconds());
+}
+
+/// A change to a scenario file, to the spec's defaults or to the hash domain
+/// shows up here.
+#[test]
+fn shipped_scenario_hashes_match_the_golden_file() {
+    check_golden("scenario_hashes.txt", &shipped_hashes());
+}
+
+/// Rewrites the golden files from this build. Run it only after an intended
+/// output change, then review and commit the diff.
+#[test]
+#[ignore = "rewrites tests/golden; run explicitly to bless an intended change"]
+fn bless_golden_files() {
+    std::fs::create_dir_all(golden_path("")).expect("golden directory creates");
+    std::fs::write(
+        golden_path("reproduce_all_d2.csv"),
+        shipped_csv_at_two_seconds(),
+    )
+    .expect("CSV writes");
+    std::fs::write(golden_path("scenario_hashes.txt"), shipped_hashes()).expect("hashes write");
+}
+
+/// Every invalid value is rejected at the spec boundary with a
+/// `SimError::Spec` naming its field: at load, by the runner for specs that
+/// never went through a parser, and by live reconfiguration deltas.
+#[test]
+fn invalid_values_are_rejected_at_the_spec_boundary() {
+    let policy = "name = \"dvfs-only\"\nthreshold";
+    let cases = [
+        ("[policy]", format!("{policy} = nan"), "policy.threshold"),
+        ("[policy]", format!("{policy} = -1.0"), "policy.threshold"),
+        (
+            "[sweep]",
+            "thresholds = [1.0, inf]".into(),
+            "sweep.thresholds",
+        ),
+        ("[schedule]", "warmup = -1.0".into(), "schedule.warmup"),
+        ("[schedule]", "duration = -1.0".into(), "schedule.duration"),
+        ("[schedule]", "duration = nan".into(), "schedule.duration"),
+        (
+            "[schedule]",
+            "time_step_ms = 0.0".into(),
+            "schedule.time_step_ms",
+        ),
+        (
+            "[schedule]",
+            "policy_period_ms = nan".into(),
+            "schedule.policy_period_ms",
+        ),
+        (
+            "[schedule]",
+            "trace_interval_ms = -5.0".into(),
+            "schedule.trace_interval_ms",
+        ),
+        ("[schedule]", "duration = 1e9".into(), "steps"),
+        (
+            "[[phases]]",
+            "at = 1.0\nthreshold = nan".into(),
+            "`threshold`",
+        ),
+        (
+            "[[phases]]",
+            "at = 1.0\npolicy_period_ms = -10.0".into(),
+            "`policy_period_ms`",
+        ),
+        (
+            "[[phases]]",
+            "at = 1.0\nsensor_period_ms = inf".into(),
+            "`sensor_period_ms`",
+        ),
+    ];
+    let expect_spec_error = |result: Result<(), SimError>, field: &str, what: &str| match result {
+        Err(SimError::Spec(msg)) => {
+            assert!(msg.contains(field), "{what}: `{msg}` names no {field}")
+        }
+        other => panic!("{what}: expected a spec error naming {field}, got {other:?}"),
+    };
+    for (table, body, field) in cases {
+        let section = format!("{table}\n{body}");
+        let text = format!("name = \"bad\"\n{section}\n");
+        expect_spec_error(
+            ScenarioSpec::from_toml_str(&text).map(drop),
+            field,
+            &format!("loading {section:?}"),
+        );
+        // A spec that bypasses the parser is still stopped before it runs.
+        let raw: ScenarioSpec = toml::from_str(&text).expect("the TOML itself is well formed");
+        expect_spec_error(
+            Runner::new().run_spec(&raw).map(drop),
+            field,
+            &format!("running {section:?}"),
+        );
+    }
+    // JSON input goes through the same checks.
+    let json = ScenarioSpec::new("bad")
+        .with_schedule(1.0, -1.0)
+        .to_json_string();
+    expect_spec_error(
+        ScenarioSpec::from_json_str(&json).map(drop),
+        "schedule.duration",
+        "JSON",
+    );
+    // Zero still disables tracing, and a zero threshold is a valid band.
+    let zeros = "name = \"ok\"\n[policy]\nname = \"dvfs-only\"\nthreshold = 0.0\n\
+                 [schedule]\ntrace_interval_ms = 0.0\n";
+    ScenarioSpec::from_toml_str(zeros).expect("zero threshold and trace interval are valid");
+    // Live deltas reject the same knobs before touching the simulation.
+    let mut sim = ScenarioSpec::new("live")
+        .with_schedule(0.0, 0.1)
+        .build()
+        .expect("simulation builds");
+    expect_spec_error(
+        sim.apply_delta(&SpecDelta::new().with_threshold(f64::NAN)),
+        "`threshold`",
+        "delta",
+    );
+    assert_eq!(
+        sim.summary().reconfigs,
+        0,
+        "a rejected delta changes nothing"
+    );
 }
 
 #[test]
@@ -174,14 +365,15 @@ fn sweep_expansion_counts_multiply_across_axes() {
     let sweep = spec.sweep.clone().unwrap();
     assert_eq!(sweep.cardinality(), 16);
 
-    let figures = paper_scenarios(Seconds::new(20.0));
+    let figures = shipped();
     let threshold_sweeps: Vec<_> = figures
         .iter()
         .filter(|s| s.name.starts_with("threshold-sweep"))
         .collect();
     assert_eq!(threshold_sweeps.len(), 2);
     for spec in threshold_sweeps {
-        assert_eq!(spec.expand().len(), 3 * THRESHOLD_SWEEP.len());
+        // Three policies × four thresholds.
+        assert_eq!(spec.expand().len(), 3 * 4);
     }
 }
 

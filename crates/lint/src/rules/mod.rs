@@ -2,7 +2,8 @@
 //!
 //! Every rule targets one repo-wide invariant that earlier PRs enforce only
 //! at runtime (or by reviewer vigilance); see `docs/LINTING.md` for the
-//! prose catalog. Per-file rules receive the shared [`SourceFile`] model;
+//! prose catalog. Per-file rules receive the shared
+//! [`SourceFile`](crate::source::SourceFile) model;
 //! `domain-drift` runs once per scan over the configured workspace files.
 
 pub mod determinism;

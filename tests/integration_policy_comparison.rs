@@ -2,22 +2,22 @@
 //! compare in temperature deviation, deadline misses and migration rate, on
 //! both thermal packages.
 
-use tbp_arch::units::Seconds;
-use tbp_core::experiments::{
-    run_sdr_experiment, run_threshold_sweep, ExperimentConfig, PolicyKind,
-};
 use tbp_core::metrics::SimulationSummary;
+use tbp_core::scenario::{shipped, Runner, ScenarioSpec};
 use tbp_thermal::package::PackageKind;
 
-fn run(package: PackageKind, policy: PolicyKind, threshold: f64) -> SimulationSummary {
-    let config = ExperimentConfig {
-        package,
-        policy,
-        threshold,
-        warmup: Seconds::new(6.0),
-        duration: Seconds::new(12.0),
-    };
-    run_sdr_experiment(&config).expect("experiment runs")
+const BALANCING: &str = "thermal-balancing";
+const STOP_GO: &str = "stop-and-go";
+const ENERGY: &str = "energy-balancing";
+
+fn run(package: PackageKind, policy: &str, threshold: f64) -> SimulationSummary {
+    let spec = ScenarioSpec::new("experiment")
+        .with_package(package)
+        .with_policy(policy, threshold)
+        .with_schedule(6.0, 12.0);
+    let mut sim = spec.build().expect("experiment builds");
+    sim.run_for(spec.total_duration()).expect("experiment runs");
+    sim.summary()
 }
 
 /// Figure 7 (mobile package): the thermal balancing policy reduces the
@@ -25,16 +25,8 @@ fn run(package: PackageKind, policy: PolicyKind, threshold: f64) -> SimulationSu
 /// not react to temperature at all.
 #[test]
 fn fig7_balancing_beats_energy_balancing_on_sigma() {
-    let balancing = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        2.0,
-    );
-    let energy = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::EnergyBalancing,
-        2.0,
-    );
+    let balancing = run(PackageKind::MobileEmbedded, BALANCING, 2.0);
+    let energy = run(PackageKind::MobileEmbedded, ENERGY, 2.0);
     assert!(
         balancing.mean_spatial_std_dev() < 0.7 * energy.mean_spatial_std_dev(),
         "balancing σ {:.2} should be well below energy-balancing σ {:.2}",
@@ -53,32 +45,16 @@ fn fig7_balancing_beats_energy_balancing_on_sigma() {
 /// energy-balancing baseline is flat.
 #[test]
 fn sigma_grows_with_threshold_for_balancing_only() {
-    let tight = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        1.0,
-    );
-    let loose = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        4.0,
-    );
+    let tight = run(PackageKind::MobileEmbedded, BALANCING, 1.0);
+    let loose = run(PackageKind::MobileEmbedded, BALANCING, 4.0);
     assert!(
         tight.mean_spatial_std_dev() < loose.mean_spatial_std_dev() + 1e-9,
         "σ at 1 °C ({:.2}) should not exceed σ at 4 °C ({:.2})",
         tight.mean_spatial_std_dev(),
         loose.mean_spatial_std_dev()
     );
-    let energy_tight = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::EnergyBalancing,
-        1.0,
-    );
-    let energy_loose = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::EnergyBalancing,
-        4.0,
-    );
+    let energy_tight = run(PackageKind::MobileEmbedded, ENERGY, 1.0);
+    let energy_loose = run(PackageKind::MobileEmbedded, ENERGY, 4.0);
     assert!(
         (energy_tight.mean_spatial_std_dev() - energy_loose.mean_spatial_std_dev()).abs() < 0.2,
         "energy balancing does not depend on the threshold"
@@ -90,12 +66,8 @@ fn sigma_grows_with_threshold_for_balancing_only() {
 /// based policy; the paper's policy stays near zero misses.
 #[test]
 fn stop_and_go_trades_misses_for_thermal_control() {
-    let stopgo = run(PackageKind::MobileEmbedded, PolicyKind::StopGo, 2.0);
-    let balancing = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        2.0,
-    );
+    let stopgo = run(PackageKind::MobileEmbedded, STOP_GO, 2.0);
+    let balancing = run(PackageKind::MobileEmbedded, BALANCING, 2.0);
     assert!(
         stopgo.qos.deadline_misses > 20,
         "Stop&Go should miss many frames, got {}",
@@ -117,17 +89,9 @@ fn stop_and_go_trades_misses_for_thermal_control() {
 /// only by sacrificing QoS — the crossover the paper highlights.
 #[test]
 fn fig9_fig10_high_performance_crossover() {
-    let stopgo = run(PackageKind::HighPerformance, PolicyKind::StopGo, 1.0);
-    let balancing = run(
-        PackageKind::HighPerformance,
-        PolicyKind::ThermalBalancing,
-        1.0,
-    );
-    let energy = run(
-        PackageKind::HighPerformance,
-        PolicyKind::EnergyBalancing,
-        1.0,
-    );
+    let stopgo = run(PackageKind::HighPerformance, STOP_GO, 1.0);
+    let balancing = run(PackageKind::HighPerformance, BALANCING, 1.0);
+    let energy = run(PackageKind::HighPerformance, ENERGY, 1.0);
     // Energy balancing is the worst at controlling the gradient.
     assert!(balancing.mean_spatial_std_dev() < energy.mean_spatial_std_dev());
     assert!(stopgo.mean_spatial_std_dev() < energy.mean_spatial_std_dev());
@@ -140,21 +104,9 @@ fn fig9_fig10_high_performance_crossover() {
 /// one at the tightest threshold.
 #[test]
 fn fig11_migration_rate_shape() {
-    let mobile_tight = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        1.0,
-    );
-    let mobile_loose = run(
-        PackageKind::MobileEmbedded,
-        PolicyKind::ThermalBalancing,
-        4.0,
-    );
-    let hiperf_tight = run(
-        PackageKind::HighPerformance,
-        PolicyKind::ThermalBalancing,
-        1.0,
-    );
+    let mobile_tight = run(PackageKind::MobileEmbedded, BALANCING, 1.0);
+    let mobile_loose = run(PackageKind::MobileEmbedded, BALANCING, 4.0);
+    let hiperf_tight = run(PackageKind::HighPerformance, BALANCING, 1.0);
     assert!(
         mobile_tight.migrations_per_second() >= mobile_loose.migrations_per_second(),
         "migration rate should not grow with the threshold"
@@ -168,14 +120,23 @@ fn fig11_migration_rate_shape() {
     assert!(hiperf_tight.migrated_kib_per_second() < 1024.0);
 }
 
-/// The full sweep helper runs every (policy, threshold) combination and
-/// returns one point per combination — this is what the figure binaries print.
+/// The shipped Figures 9+10 scenario runs every (policy, threshold)
+/// combination and returns one report per combination — the reports the
+/// figures pivot.
 #[test]
 fn threshold_sweep_covers_all_points() {
-    let points = run_threshold_sweep(PackageKind::HighPerformance, Seconds::new(4.0)).unwrap();
-    assert_eq!(points.len(), 3 * 4);
-    for point in &points {
-        assert!(point.summary.measured_time.as_secs() > 3.0);
-        assert!(point.summary.qos.frames_delivered + point.summary.qos.deadline_misses > 0);
+    let spec = shipped()
+        .into_iter()
+        .find(|s| s.name == "threshold-sweep-hiperf")
+        .expect("the Figures 9+10 scenario ships");
+    let warmup = spec.schedule().warmup.as_secs();
+    let batch = Runner::new()
+        .run_spec(&spec.with_schedule(warmup, 4.0))
+        .unwrap();
+    assert_eq!(batch.len(), 3 * 4);
+    for report in &batch.reports {
+        let summary = report.summary().expect("simulation report");
+        assert!(summary.measured_time.as_secs() > 3.0);
+        assert!(summary.qos.frames_delivered + summary.qos.deadline_misses > 0);
     }
 }

@@ -5,12 +5,19 @@
 use proptest::prelude::*;
 
 use tbp_arch::units::Seconds;
-use tbp_core::experiments::{run_sdr_experiment, ExperimentConfig, PolicyKind};
+use tbp_core::scenario::ScenarioSpec;
 use tbp_core::sim::builder::Workload;
 use tbp_core::sim::{SimulationBuilder, SimulationConfig};
 use tbp_streaming::pipeline::PipelineConfig;
 use tbp_streaming::sdr::SdrBenchmark;
 use tbp_thermal::package::{Package, PackageKind};
+
+/// Runs the SDR benchmark for the spec's warm-up plus measured window.
+fn run_spec(spec: &ScenarioSpec) -> tbp_core::SimulationSummary {
+    let mut sim = spec.build().unwrap();
+    sim.run_for(spec.total_duration()).unwrap();
+    sim.summary()
+}
 
 fn run_with_queue(queue_capacity: usize, threshold: f64) -> tbp_core::SimulationSummary {
     let sdr = SdrBenchmark::paper_default().with_pipeline_config(PipelineConfig {
@@ -60,14 +67,12 @@ fn deeper_queues_absorb_migration_freezes() {
 /// under test, not to the workload itself.
 #[test]
 fn baseline_pipeline_is_feasible() {
-    let config = ExperimentConfig {
-        package: PackageKind::MobileEmbedded,
-        policy: PolicyKind::DvfsOnly,
-        threshold: 3.0,
-        warmup: Seconds::new(2.0),
-        duration: Seconds::new(15.0),
-    };
-    let summary = run_sdr_experiment(&config).unwrap();
+    let summary = run_spec(
+        &ScenarioSpec::new("experiment")
+            .with_package(PackageKind::MobileEmbedded)
+            .with_policy("dvfs-only", 3.0)
+            .with_schedule(2.0, 15.0),
+    );
     assert_eq!(summary.qos.deadline_misses, 0);
     // Roughly one frame per 25 ms over the whole run.
     let expected = (summary.total_time.as_secs() / 0.025) as u64;
@@ -79,14 +84,12 @@ fn baseline_pipeline_is_feasible() {
 /// grows with how long cores stay halted, and the miss rate is bounded by 1.
 #[test]
 fn halting_cores_causes_proportional_misses() {
-    let config = ExperimentConfig {
-        package: PackageKind::HighPerformance,
-        policy: PolicyKind::StopGo,
-        threshold: 2.0,
-        warmup: Seconds::new(3.0),
-        duration: Seconds::new(12.0),
-    };
-    let summary = run_sdr_experiment(&config).unwrap();
+    let summary = run_spec(
+        &ScenarioSpec::new("experiment")
+            .with_package(PackageKind::HighPerformance)
+            .with_policy("stop-and-go", 2.0)
+            .with_schedule(3.0, 12.0),
+    );
     assert!(summary.migration.halts > 0);
     assert!(summary.qos.deadline_misses > 0);
     let rate = summary.qos.miss_rate();

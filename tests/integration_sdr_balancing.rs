@@ -3,8 +3,19 @@
 //! the migration-based policy balances it quickly at bounded cost.
 
 use tbp_arch::units::{Celsius, Seconds};
-use tbp_core::experiments::{build_sdr_simulation, ExperimentConfig, PolicyKind};
+use tbp_core::scenario::ScenarioSpec;
+use tbp_core::Simulation;
 use tbp_thermal::package::PackageKind;
+
+/// The SDR benchmark on the mobile package under `policy`, built but not run.
+fn mobile_sim(policy: &str, threshold: f64, warmup: f64, duration: f64) -> Simulation {
+    ScenarioSpec::new("experiment")
+        .with_package(PackageKind::MobileEmbedded)
+        .with_policy(policy, threshold)
+        .with_schedule(warmup, duration)
+        .build()
+        .unwrap()
+}
 
 fn spread(temps: &[Celsius]) -> f64 {
     temps
@@ -22,14 +33,7 @@ fn spread(temps: &[Celsius]) -> f64 {
 /// and the two 266 MHz cores differ because of their floorplan position.
 #[test]
 fn warmup_produces_unbalanced_stable_gradient() {
-    let config = ExperimentConfig {
-        package: PackageKind::MobileEmbedded,
-        policy: PolicyKind::DvfsOnly,
-        threshold: 3.0,
-        warmup: Seconds::new(0.0),
-        duration: Seconds::new(12.5),
-    };
-    let mut sim = build_sdr_simulation(&config).unwrap();
+    let mut sim = mobile_sim("dvfs-only", 3.0, 0.0, 12.5);
     sim.run_for(Seconds::new(10.0)).unwrap();
     let at_10s = sim.core_temperatures();
     sim.run_for(Seconds::new(2.5)).unwrap();
@@ -62,14 +66,7 @@ fn warmup_produces_unbalanced_stable_gradient() {
 /// only briefly, at the cost of a handful of 64 kB migrations.
 #[test]
 fn enabling_the_policy_balances_within_seconds() {
-    let config = ExperimentConfig {
-        package: PackageKind::MobileEmbedded,
-        policy: PolicyKind::ThermalBalancing,
-        threshold: 3.0,
-        warmup: Seconds::new(12.5),
-        duration: Seconds::new(10.0),
-    };
-    let mut sim = build_sdr_simulation(&config).unwrap();
+    let mut sim = mobile_sim("thermal-balancing", 3.0, 12.5, 10.0);
     sim.run_for(Seconds::new(12.5)).unwrap();
     let before = spread(&sim.core_temperatures());
     assert!(
@@ -115,14 +112,7 @@ fn enabling_the_policy_balances_within_seconds() {
 /// above are tolerated while a migration is in flight).
 #[test]
 fn balanced_state_keeps_cores_near_the_mean() {
-    let config = ExperimentConfig {
-        package: PackageKind::MobileEmbedded,
-        policy: PolicyKind::ThermalBalancing,
-        threshold: 2.0,
-        warmup: Seconds::new(10.0),
-        duration: Seconds::new(15.0),
-    };
-    let mut sim = build_sdr_simulation(&config).unwrap();
+    let mut sim = mobile_sim("thermal-balancing", 2.0, 10.0, 15.0);
     sim.run_for(Seconds::new(25.0)).unwrap();
     let temps = sim.core_temperatures();
     let mean = temps.iter().map(|c| c.as_celsius()).sum::<f64>() / temps.len() as f64;

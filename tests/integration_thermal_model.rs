@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use tbp_arch::floorplan::Floorplan;
 use tbp_arch::units::{Seconds, Watts};
-use tbp_core::experiments::{build_sdr_simulation, ExperimentConfig, PolicyKind};
+use tbp_core::scenario::ScenarioSpec;
 use tbp_core::sim::builder::Workload;
 use tbp_core::sim::{SimulationBuilder, SimulationConfig};
 use tbp_thermal::package::{Package, PackageKind};
@@ -13,14 +13,12 @@ use tbp_thermal::solver::SolverKind;
 use tbp_thermal::ThermalModel;
 
 fn warmup_sim(package: PackageKind) -> tbp_core::Simulation {
-    let config = ExperimentConfig {
-        package,
-        policy: PolicyKind::DvfsOnly,
-        threshold: 3.0,
-        warmup: Seconds::new(0.0),
-        duration: Seconds::new(2.0),
-    };
-    build_sdr_simulation(&config).unwrap()
+    ScenarioSpec::new("experiment")
+        .with_package(package)
+        .with_policy("dvfs-only", 3.0)
+        .with_schedule(0.0, 2.0)
+        .build()
+        .unwrap()
 }
 
 /// Section 5: the high-performance package's temperature variations are six
