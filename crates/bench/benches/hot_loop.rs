@@ -30,10 +30,7 @@ fn build_sim(package: Package, solver: SolverKind, workload: Workload) -> Simula
         .with_package(package)
         .with_solver(solver)
         .with_workload(workload)
-        .with_config(SimulationConfig {
-            trace_interval: None,
-            ..SimulationConfig::paper_default()
-        })
+        .with_config(SimulationConfig::paper_default())
         .build()
         .expect("bench simulation builds");
     // Run past the warm-up so the measured loop includes policy invocations.

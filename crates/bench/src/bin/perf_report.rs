@@ -158,12 +158,9 @@ fn build_sim(package: Package, solver: SolverKind, workload: Workload) -> Simula
         .with_package(package)
         .with_solver(solver)
         .with_workload(workload)
-        .with_config(SimulationConfig {
-            // The measured loop is the steady-state step: no tracing, and the
-            // paper's 8 s warm-up is run before the clock starts.
-            trace_interval: None,
-            ..SimulationConfig::paper_default()
-        })
+        // The measured loop is the steady-state step: the paper's 8 s
+        // warm-up is run before the clock starts.
+        .with_config(SimulationConfig::paper_default())
         .build()
         .expect("perf_report simulation builds")
 }
@@ -219,7 +216,6 @@ fn build_lane_sim(
         .with_solver(solver)
         .with_workload(Workload::sdr())
         .with_config(SimulationConfig {
-            trace_interval: None,
             time_step: Seconds::from_millis(step_ms),
             policy_period: Seconds::from_millis(policy_ms.max(step_ms).max(10.0)),
             ..SimulationConfig::paper_default()

@@ -283,11 +283,14 @@ fn parse_batch_cli(args: impl Iterator<Item = String>) -> BatchCli {
 /// With `--cache-dir`, a `[cache] hits=… misses=…` line is printed to stderr
 /// after execution (the cached-reproduce CI job greps for `misses=0`).
 ///
+/// A run that fails (a failing simulation, an unwritable trace directory)
+/// exits through [`fail`] with [`EXIT_FAILURE`].
+///
 /// # Panics
 ///
-/// Panics with a descriptive message when a run fails, a partial file cannot
-/// be read, or the partials do not merge — matching the fail-fast style of
-/// the bench binaries.
+/// Panics with a descriptive message when a partial file cannot be read or
+/// the partials do not merge — matching the fail-fast style of the bench
+/// binaries.
 pub fn run_cli(label: &str, specs: &[ScenarioSpec]) -> Option<BatchReport> {
     run_cli_with(&batch_cli(), label, specs)
 }
@@ -351,7 +354,7 @@ pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Opti
         let partial = timed(label, || {
             runner
                 .run_shard(specs, plan)
-                .unwrap_or_else(|e| panic!("shard {plan} failed: {e}"))
+                .unwrap_or_else(|e| fail(format!("shard {plan} failed: {e}")))
         });
         eprintln!(
             "[shard {plan}] runs {}..{} of {}",
@@ -369,7 +372,7 @@ pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Opti
     let batch = timed(label, || {
         runner
             .run(specs)
-            .unwrap_or_else(|e| panic!("batch failed: {e}"))
+            .unwrap_or_else(|e| fail(format!("batch failed: {e}")))
     });
     if let Some(obs) = obs {
         obs.finish();
@@ -529,8 +532,7 @@ pub fn load_scenarios(paths: &[PathBuf]) -> Vec<ScenarioSpec> {
     paths
         .iter()
         .map(|path| {
-            let spec = tbp_core::scenario::load_toml_file(path)
-                .unwrap_or_else(|e| fail(format!("cannot load scenario {}: {e}", path.display())));
+            let spec = tbp_core::scenario::load_toml_file(path).unwrap_or_else(|e| fail(e));
             match duration {
                 Some(duration) => override_duration(spec, duration),
                 None => spec,

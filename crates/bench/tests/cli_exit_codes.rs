@@ -12,8 +12,14 @@ fn bin(path: &str) -> Command {
     Command::new(path)
 }
 
+fn scenario_file(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(name)
+}
+
 fn scenario() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/10_table1_power.toml")
+    scenario_file("10_table1_power.toml")
 }
 
 fn run(mut cmd: Command) -> Output {
@@ -60,7 +66,30 @@ fn run_scenario_without_files_prints_usage_with_exit_2() {
 fn run_scenario_reports_a_missing_file_with_exit_1() {
     let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
     cmd.arg("no/such/scenario.toml");
-    assert_clean_failure(&run(cmd), 1, "cannot load scenario no/such/scenario.toml");
+    let out = run(cmd);
+    assert_clean_failure(&out, 1, "cannot load scenario no/such/scenario.toml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("no/such/scenario.toml").count(),
+        1,
+        "{stderr}"
+    );
+}
+
+#[test]
+fn run_scenario_reports_an_unwritable_trace_dir_with_exit_1() {
+    // A regular file where the trace directory should go fails the batch at
+    // runtime: that is exit 1, not the usage code.
+    let file = std::env::temp_dir().join(format!("tbp_trace_dir_is_a_file_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("file writes");
+    let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
+    cmd.env("TBP_DURATION", "0.1")
+        .arg(scenario_file("40_threshold_sweep_mobile.toml"))
+        .arg("--trace-dir")
+        .arg(&file);
+    let out = run(cmd);
+    let _ = std::fs::remove_file(&file);
+    assert_clean_failure(&out, 1, "create trace dir");
 }
 
 #[test]
@@ -137,4 +166,12 @@ fn reproduce_all_reports_a_broken_scenario_file_with_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_clean_failure(&out, 1, "10_broken.toml");
     assert_clean_failure(&out, 1, "schedule.duration");
+    // The file and the error class are each named once.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.matches("10_broken.toml").count(), 1, "{stderr}");
+    assert_eq!(
+        stderr.matches("invalid scenario specification").count(),
+        1,
+        "{stderr}"
+    );
 }

@@ -369,8 +369,8 @@ pub struct SimulationSummary {
     pub qos: QosMetrics,
     /// Live reconfigurations applied during the run (0 for static scenarios).
     pub reconfigs: u64,
-    /// Trace samples discarded by recorder decimation passes (0 when the
-    /// recorder never saturated or tracing was off).
+    /// Always 0: the trace sink never drops samples. Kept because the CSV
+    /// header (`trace_dropped` column) and stored reports carry it.
     pub trace_dropped: u64,
 }
 

@@ -434,19 +434,19 @@ mod tests {
     fn domain_v3_only_changes_hashes_of_specs_that_declare_phases() {
         use crate::scenario::spec::PhaseSpec;
 
-        // Golden digests captured on the pre-phases tree: the v3 domain is
-        // applied only to specs declaring `[[phases]]`, so every static
-        // spec's hash — and with it every existing cache entry — must be
-        // byte-for-byte what it was before live reconfiguration landed.
+        // Golden digests of two static specs: the v3 domain is applied only
+        // to specs declaring `[[phases]]`, so a static spec's hash moves only
+        // when the defaults fingerprint does (last re-pinned when the
+        // resolved schedule lost its trace interval).
         let plain = ScenarioSpec::new("x");
         assert_eq!(
             ScenarioHash::of(&plain).unwrap().to_hex(),
-            "60d4aae6e10604196a63b60328b0df34452c4854807eaf52d9d030cfb976f78e"
+            "bf148b1e6f1684e36df1c7e791d381010e4daade58081bf2a26b001e86753382"
         );
         let with_policy = ScenarioSpec::new("y").with_policy("stop-and-go", 2.0);
         assert_eq!(
             ScenarioHash::of(&with_policy).unwrap().to_hex(),
-            "7942bb21527cbece9c96b48686e675148b6f528b25f280c408cb832e59099a45"
+            "e78a3ed914ce098d4928358906ee3633d2559396c644c1cacdcf54d0f5d9daef"
         );
 
         // Declaring phases switches the spec to the v3 domain: even an empty

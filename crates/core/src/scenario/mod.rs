@@ -105,13 +105,19 @@ macro_rules! shipped_file {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Spec`] when the file cannot be read or parsed.
+/// Returns [`SimError::Spec`] when the file cannot be read or parsed; the
+/// message reads `cannot load scenario <path>: <reason>`.
 pub fn load_toml_file(path: impl AsRef<Path>) -> Result<ScenarioSpec, SimError> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| SimError::Spec(format!("cannot read {}: {e}", path.display())))?;
-    ScenarioSpec::from_toml_str(&text)
-        .map_err(|e| SimError::Spec(format!("{}: {e}", path.display())))
+    let failed = |reason: &dyn std::fmt::Display| {
+        SimError::Spec(format!("cannot load scenario {}: {reason}", path.display()))
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| failed(&e))?;
+    ScenarioSpec::from_toml_str(&text).map_err(|e| match e {
+        // Keep one `invalid scenario specification` prefix, not two.
+        SimError::Spec(msg) => failed(&msg),
+        other => failed(&other),
+    })
 }
 
 /// Loads every `*.toml` scenario in a directory, sorted by file name (the

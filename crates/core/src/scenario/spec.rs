@@ -189,8 +189,11 @@ impl ScenarioSpec {
     /// * a non-finite or negative `threshold` (policy or sweep axis);
     /// * a non-finite or negative `warmup` or `duration`;
     /// * a non-finite or non-positive `time_step_ms` or `policy_period_ms`;
-    /// * a non-finite or negative `trace_interval_ms` (0 disables tracing);
+    /// * any `trace_interval_ms` (retired; the sink's `[trace] interval_ms`
+    ///   sets the sampling period);
     /// * a run longer than [`MAX_RUN_STEPS`] steps;
+    /// * an invalid `[trace]` table ([`TraceSpec::interval`],
+    ///   [`TraceSpec::selection`]);
     /// * an invalid `[[phases]]` table ([`validate_phases`](Self::validate_phases)).
     ///
     /// A valid spec passes without allocating.
@@ -212,7 +215,6 @@ impl ScenarioSpec {
             ("policy.threshold", policy_threshold),
             ("schedule.warmup", schedule.warmup),
             ("schedule.duration", schedule.duration),
-            ("schedule.trace_interval_ms", schedule.trace_interval_ms),
         ]
         .into_iter()
         .chain(
@@ -234,6 +236,13 @@ impl ScenarioSpec {
                 return Err(field(name, POSITIVE, value));
             }
         }
+        if let Some(ms) = schedule.trace_interval_ms {
+            return Err(SimError::Spec(format!(
+                "scenario `{}`: `schedule.trace_interval_ms` is retired (got {ms}); \
+                 set the trace sampling period with `[trace] interval_ms`",
+                self.name
+            )));
+        }
         let resolved = schedule.resolve();
         let steps = step_count(resolved.warmup + resolved.duration, resolved.time_step);
         if steps > MAX_RUN_STEPS {
@@ -242,6 +251,10 @@ impl ScenarioSpec {
                  {MAX_RUN_STEPS} one run may take",
                 self.name
             )));
+        }
+        if let Some(trace) = &self.trace {
+            trace.interval()?;
+            trace.selection()?;
         }
         self.validate_phases()
     }
@@ -556,8 +569,6 @@ impl ScenarioSpec {
                 policy_period: schedule.policy_period,
                 warmup: schedule.warmup,
                 metrics_threshold: threshold,
-                trace_interval: schedule.trace_interval,
-                ..SimulationConfig::default()
             })
             .build()
     }
@@ -1087,8 +1098,8 @@ pub struct ScheduleSpec {
     pub time_step_ms: Option<f64>,
     /// Policy invocation period in milliseconds. Default 10 ms.
     pub policy_period_ms: Option<f64>,
-    /// Trace sampling period in milliseconds; 0 disables tracing.
-    /// Default 100 ms.
+    /// Retired: [`ScenarioSpec::validate`] rejects any value. The trace
+    /// sink's sampling period is `[trace] interval_ms` ([`TraceSpec`]).
     pub trace_interval_ms: Option<f64>,
 }
 
@@ -1100,11 +1111,6 @@ impl ScheduleSpec {
             duration: Seconds::new(self.duration.unwrap_or(20.0)),
             time_step: Seconds::from_millis(self.time_step_ms.unwrap_or(5.0)),
             policy_period: Seconds::from_millis(self.policy_period_ms.unwrap_or(10.0)),
-            trace_interval: match self.trace_interval_ms {
-                Some(ms) if ms <= 0.0 => None,
-                Some(ms) => Some(Seconds::from_millis(ms)),
-                None => Some(Seconds::from_millis(100.0)),
-            },
         }
     }
 }
@@ -1120,8 +1126,6 @@ pub struct ResolvedSchedule {
     pub time_step: Seconds,
     /// Policy period.
     pub policy_period: Seconds,
-    /// Trace interval (`None` disables tracing).
-    pub trace_interval: Option<Seconds>,
 }
 
 /// Observability-sink settings (`[trace]` in TOML): the sampling interval
@@ -1544,15 +1548,5 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), 12);
         assert!(cases.iter().all(|c| c.sweep.is_none()));
-    }
-
-    #[test]
-    fn trace_interval_zero_disables_tracing() {
-        let schedule = ScheduleSpec {
-            trace_interval_ms: Some(0.0),
-            ..ScheduleSpec::default()
-        }
-        .resolve();
-        assert_eq!(schedule.trace_interval, None);
     }
 }

@@ -1,47 +1,9 @@
-//! Time-series recording of simulation state.
+//! Track selection for the simulation's trace sink.
 //!
 //! The emulation platform of the paper streams per-component statistics to a
-//! host PC; the equivalent here is a [`TraceRecorder`] that samples the
-//! simulation state at a configurable interval and keeps the series in memory
-//! so experiments can plot temperature transients (e.g. the warm-up gradient
-//! or the balancing transient of Section 5).
-//!
-//! For fleet-scale archival the simulation can additionally stream typed
-//! per-subsystem tracks into a `tbp_obs` sink (see
-//! `Simulation::attach_trace_sink`); [`TrackSelection`] names which track
-//! groups such a sink receives.
-
-use serde::{Deserialize, Serialize};
-
-use tbp_arch::units::{Celsius, Seconds};
-
-/// One sampled point of the simulation state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSample {
-    /// Simulated time of the sample.
-    pub time: Seconds,
-    /// Core temperatures, indexed by core id.
-    pub core_temperatures: Vec<Celsius>,
-    /// Core frequencies in MHz, indexed by core id.
-    pub core_frequencies_mhz: Vec<f64>,
-    /// Cumulative completed migrations at the time of the sample.
-    pub migrations: u64,
-    /// Cumulative deadline misses at the time of the sample.
-    pub deadline_misses: u64,
-}
-
-/// One live-reconfiguration event applied to a running simulation.
-///
-/// Recorded by `Simulation::apply_delta` so traces show *when* the policy,
-/// threshold or periods changed mid-run — phased scenarios and closed-loop
-/// threshold searches produce one event per applied delta.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReconfigEvent {
-    /// Simulated time the delta was applied at.
-    pub time: Seconds,
-    /// Human-readable rendering of the applied delta (deterministic).
-    pub description: String,
-}
+//! host PC over one channel; the equivalent here is the `tbp_obs` sink a
+//! simulation feeds (see `Simulation::attach_trace_sink`). [`TrackSelection`]
+//! names which track groups such a sink receives.
 
 /// Which observability track groups an attached trace sink receives.
 ///
@@ -92,445 +54,5 @@ impl TrackSelection {
 impl Default for TrackSelection {
     fn default() -> Self {
         TrackSelection::all()
-    }
-}
-
-/// Records [`TraceSample`]s at a fixed interval, bounded in length.
-///
-/// Saturation does not lose the tail of a long run: when the buffer
-/// reaches `max_samples` the recorder *decimates* — it keeps every other
-/// stored sample and doubles its sampling interval — so the series always
-/// spans the whole run at a resolution that degrades gracefully
-/// (2×, 4×, … the configured interval) instead of silently stopping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecorder {
-    interval: Seconds,
-    max_samples: usize,
-    since_last: Seconds,
-    samples: Vec<TraceSample>,
-    dropped: u64,
-    decimations: u32,
-    reconfigs: Vec<ReconfigEvent>,
-}
-
-/// A disabled recorder carries an infinite interval, which strict JSON
-/// cannot represent: the manual impls omit `interval`/`since_last` while
-/// they are non-finite and restore the infinities on deserialization (the
-/// same pattern `RunningStats` uses for its empty-state min/max), so run
-/// artifacts holding a disabled recorder round-trip losslessly through
-/// `FsCache`-style strict-JSON storage.
-impl Serialize for TraceRecorder {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = Vec::with_capacity(7);
-        if self.interval.as_secs().is_finite() {
-            entries.push(("interval".to_string(), self.interval.to_value()));
-        }
-        entries.push(("max_samples".to_string(), self.max_samples.to_value()));
-        if self.since_last.as_secs().is_finite() {
-            entries.push(("since_last".to_string(), self.since_last.to_value()));
-        }
-        entries.push(("samples".to_string(), self.samples.to_value()));
-        entries.push(("dropped".to_string(), self.dropped.to_value()));
-        entries.push(("decimations".to_string(), self.decimations.to_value()));
-        entries.push(("reconfigs".to_string(), self.reconfigs.to_value()));
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for TraceRecorder {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(value, serde::Value::Map(_)) {
-            return Err(serde::Error::custom(format!(
-                "TraceRecorder: expected map, found {}",
-                value.kind()
-            )));
-        }
-        fn required<T: Deserialize>(value: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            match value.get(key) {
-                Some(v) => T::from_value(v)
-                    .map_err(|e| serde::Error::custom(format!("TraceRecorder.{key}: {e}"))),
-                None => Err(serde::Error::custom(format!(
-                    "TraceRecorder: missing field `{key}`"
-                ))),
-            }
-        }
-        fn seconds_or_infinity(value: &serde::Value, key: &str) -> Result<Seconds, serde::Error> {
-            match value.get(key) {
-                Some(v) => Seconds::from_value(v)
-                    .map_err(|e| serde::Error::custom(format!("TraceRecorder.{key}: {e}"))),
-                None => Ok(Seconds::new(f64::INFINITY)),
-            }
-        }
-        Ok(TraceRecorder {
-            interval: seconds_or_infinity(value, "interval")?,
-            max_samples: required(value, "max_samples")?,
-            since_last: seconds_or_infinity(value, "since_last")?,
-            samples: required(value, "samples")?,
-            dropped: required(value, "dropped")?,
-            // Absent in artifacts recorded before decimation existed.
-            decimations: match value.get("decimations") {
-                Some(v) => u32::from_value(v)
-                    .map_err(|e| serde::Error::custom(format!("TraceRecorder.decimations: {e}")))?,
-                None => 0,
-            },
-            reconfigs: required(value, "reconfigs")?,
-        })
-    }
-}
-
-impl TraceRecorder {
-    /// Creates a recorder sampling every `interval`, keeping at most
-    /// `max_samples` samples (a full buffer decimates: see the type docs).
-    pub fn new(interval: Seconds, max_samples: usize) -> Self {
-        TraceRecorder {
-            interval,
-            max_samples,
-            since_last: interval, // record the very first offered sample
-            samples: Vec::new(),
-            dropped: 0,
-            decimations: 0,
-            reconfigs: Vec::new(),
-        }
-    }
-
-    /// A disabled recorder that never stores anything.
-    pub fn disabled() -> Self {
-        TraceRecorder::new(Seconds::new(f64::INFINITY), 0)
-    }
-
-    /// The sampling interval (doubled by each decimation pass).
-    pub fn interval(&self) -> Seconds {
-        self.interval
-    }
-
-    /// The recorded samples.
-    pub fn samples(&self) -> &[TraceSample] {
-        &self.samples
-    }
-
-    /// Number of samples discarded so far — by decimation passes, or
-    /// outright on a recorder with zero capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of keep-every-other decimation passes performed (each one
-    /// doubled the effective sampling interval).
-    pub fn decimations(&self) -> u32 {
-        self.decimations
-    }
-
-    /// Returns `true` when `dt` more simulated time means a sample is due.
-    pub fn tick(&mut self, dt: Seconds) -> bool {
-        if !self.interval.as_secs().is_finite() {
-            return false;
-        }
-        self.since_last += dt;
-        self.since_last.as_secs() + 1e-12 >= self.interval.as_secs()
-    }
-
-    /// Stores a sample (call when [`tick`](Self::tick) returned `true`).
-    pub fn record(&mut self, sample: TraceSample) {
-        self.since_last = Seconds::ZERO;
-        if self.make_room() {
-            self.samples.push(sample);
-        }
-    }
-
-    /// Borrow-based form of [`record`](Self::record): the recorder copies the
-    /// slices into an owned [`TraceSample`] only when the sample is actually
-    /// stored, so a full (or disabled) recorder costs nothing per tick and
-    /// callers do not build throwaway vectors just to offer a sample.
-    pub fn record_borrowed(
-        &mut self,
-        time: Seconds,
-        core_temperatures: &[Celsius],
-        core_frequencies_mhz: &[f64],
-        migrations: u64,
-        deadline_misses: u64,
-    ) {
-        self.since_last = Seconds::ZERO;
-        if !self.make_room() {
-            return;
-        }
-        self.samples.push(TraceSample {
-            time,
-            // The directive below covers both copies: they run only when
-            // make_room admitted a sample — at most max_samples times per
-            // run, never per step (the alloc_free_step test pins this).
-            core_temperatures: core_temperatures.to_vec(), // tbp-lint: allow(no-alloc): bounded by max_samples, not per-step
-            core_frequencies_mhz: core_frequencies_mhz.to_vec(),
-            migrations,
-            deadline_misses,
-        });
-    }
-
-    /// Makes room for one more sample, decimating when the buffer is full.
-    /// Returns whether the incoming sample should be stored.
-    fn make_room(&mut self) -> bool {
-        if self.max_samples == 0 {
-            self.dropped += 1;
-            return false;
-        }
-        if self.samples.len() < self.max_samples {
-            return true;
-        }
-        // Keep-every-other decimation: retain even indices (preserving the
-        // series start and its uniform spacing) and double the interval so
-        // future samples land on the coarser grid.
-        let before = self.samples.len();
-        let mut i = 0usize;
-        self.samples.retain(|_| {
-            let keep = i.is_multiple_of(2);
-            i += 1;
-            keep
-        });
-        self.dropped += (before - self.samples.len()) as u64;
-        self.interval = Seconds::new(self.interval.as_secs() * 2.0);
-        self.decimations += 1;
-        if self.samples.len() >= self.max_samples {
-            // Only reachable with max_samples == 1: nothing was freed.
-            self.dropped += 1;
-            return false;
-        }
-        true
-    }
-
-    /// Records a live-reconfiguration event. Events are kept even by a
-    /// disabled recorder (they are rare and cheap, and a reconfig history is
-    /// useful precisely when periodic sampling is off), bounded by the same
-    /// hard cap as samples plus a small floor so a `disabled()` recorder
-    /// (capacity 0) still keeps a history.
-    pub fn record_reconfig(&mut self, time: Seconds, description: impl Into<String>) {
-        if self.reconfigs.len() >= self.max_samples.max(4096) {
-            return;
-        }
-        self.reconfigs.push(ReconfigEvent {
-            time,
-            description: description.into(),
-        });
-    }
-
-    /// The recorded live-reconfiguration events, in application order.
-    pub fn reconfig_events(&self) -> &[ReconfigEvent] {
-        &self.reconfigs
-    }
-
-    /// Clears the recorded samples and reconfiguration events. The interval
-    /// stays at its current (possibly decimation-doubled) value.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.dropped = 0;
-        self.decimations = 0;
-        self.since_last = self.interval;
-        self.reconfigs.clear();
-    }
-
-    /// The temperature series of one core as `(time, °C)` pairs.
-    pub fn core_series(&self, core: usize) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .filter_map(|s| {
-                s.core_temperatures
-                    .get(core)
-                    .map(|t| (s.time.as_secs(), t.as_celsius()))
-            })
-            .collect()
-    }
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder::new(Seconds::from_millis(100.0), 100_000)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(t: f64, temp: f64) -> TraceSample {
-        TraceSample {
-            time: Seconds::new(t),
-            core_temperatures: vec![Celsius::new(temp), Celsius::new(temp - 5.0)],
-            core_frequencies_mhz: vec![533.0, 266.0],
-            migrations: 0,
-            deadline_misses: 0,
-        }
-    }
-
-    #[test]
-    fn records_at_interval() {
-        let mut rec = TraceRecorder::new(Seconds::from_millis(100.0), 10);
-        assert_eq!(rec.interval(), Seconds::from_millis(100.0));
-        // The first tick is always due.
-        assert!(rec.tick(Seconds::from_millis(10.0)));
-        rec.record(sample(0.0, 50.0));
-        assert!(!rec.tick(Seconds::from_millis(50.0)));
-        assert!(rec.tick(Seconds::from_millis(60.0)));
-        rec.record(sample(0.11, 51.0));
-        assert_eq!(rec.samples().len(), 2);
-        assert_eq!(rec.dropped(), 0);
-        let series = rec.core_series(0);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[1].1, 51.0);
-        assert!(rec.core_series(5).is_empty());
-    }
-
-    #[test]
-    fn saturation_decimates_keeping_full_span_coverage() {
-        // Drive the recorder the way the simulator does: offer a sample per
-        // fixed dt, record only when tick fires (the doubled post-decimation
-        // interval thins future samples automatically).
-        let mut rec = TraceRecorder::new(Seconds::from_millis(10.0), 8);
-        let dt = Seconds::from_millis(10.0);
-        let mut recorded = 0u64;
-        for i in 0..64 {
-            if rec.tick(dt) {
-                rec.record(sample(i as f64 * 0.01, 40.0));
-                recorded += 1;
-            }
-        }
-        // Bounded, decimated, spanning the whole run: first sample kept,
-        // last kept sample well past the old drop-newest horizon (which
-        // would have frozen the series at t = 0.07).
-        assert!(rec.samples().len() <= 8);
-        assert_eq!(rec.samples()[0].time, Seconds::new(0.0));
-        assert!(rec.samples().last().unwrap().time.as_secs() >= 0.48);
-        assert!(rec.decimations() >= 3);
-        // Every discarded sample is accounted for.
-        assert_eq!(rec.samples().len() as u64 + rec.dropped(), recorded);
-        // The interval doubled once per decimation pass.
-        let expected = 0.01 * f64::from(1u32 << rec.decimations());
-        assert!((rec.interval().as_secs() - expected).abs() < 1e-12);
-        // The kept grid is uniform.
-        let times: Vec<f64> = rec.samples().iter().map(|s| s.time.as_secs()).collect();
-        let d0 = times[1] - times[0];
-        for w in times.windows(2) {
-            assert!((w[1] - w[0] - d0).abs() < 1e-12);
-        }
-        rec.reset();
-        assert!(rec.samples().is_empty());
-        assert_eq!(rec.dropped(), 0);
-        assert_eq!(rec.decimations(), 0);
-    }
-
-    #[test]
-    fn capacity_one_still_keeps_the_first_sample() {
-        let mut rec = TraceRecorder::new(Seconds::from_millis(10.0), 1);
-        for i in 0..5 {
-            rec.record(sample(i as f64, 40.0));
-        }
-        assert_eq!(rec.samples().len(), 1);
-        assert_eq!(rec.samples()[0].time, Seconds::new(0.0));
-        assert_eq!(rec.dropped(), 4);
-    }
-
-    #[test]
-    fn decimation_at_exact_capacity_boundary_fires_once() {
-        // Regression: filling the buffer to *exactly* its capacity must not
-        // decimate — only the first over-capacity sample may trigger one
-        // (and exactly one) keep-every-other pass.
-        let cap = 16usize;
-        let dt = Seconds::from_millis(10.0);
-        let mut rec = TraceRecorder::new(dt, cap);
-        let mut offered = 0u64;
-        for i in 0..cap {
-            assert!(rec.tick(dt));
-            rec.record(sample(i as f64 * 0.01, 40.0));
-            offered += 1;
-        }
-        assert_eq!(rec.samples().len(), cap);
-        assert_eq!(rec.decimations(), 0, "exact fill must not decimate");
-        assert_eq!(rec.dropped(), 0);
-        assert_eq!(rec.interval(), dt);
-
-        // One more sample crosses the boundary: one pass, one doubling.
-        assert!(rec.tick(dt));
-        rec.record(sample(cap as f64 * 0.01, 40.0));
-        offered += 1;
-        assert_eq!(rec.decimations(), 1, "boundary sample decimates once");
-        assert_eq!(rec.interval(), Seconds::new(dt.as_secs() * 2.0));
-        // Even indices of the old buffer survive, plus the new sample.
-        assert_eq!(rec.samples().len(), cap / 2 + 1);
-        // The drop counter accounts for every sample the reader no longer
-        // sees: offered == retained + dropped.
-        assert_eq!(rec.samples().len() as u64 + rec.dropped(), offered);
-
-        // Subsequent samples land on the doubled grid: ticking at the old
-        // cadence fires every other offer, with no further decimation until
-        // the buffer fills again.
-        let before = rec.decimations();
-        for i in 0..6 {
-            if rec.tick(dt) {
-                rec.record(sample((cap + 1 + i) as f64 * 0.01, 40.0));
-                offered += 1;
-            }
-        }
-        assert_eq!(rec.decimations(), before);
-        assert_eq!(rec.samples().len() as u64 + rec.dropped(), offered);
-    }
-
-    #[test]
-    fn disabled_recorder_stores_nothing() {
-        let mut rec = TraceRecorder::disabled();
-        assert!(!rec.tick(Seconds::new(1e6)));
-        rec.record(sample(0.0, 50.0));
-        assert!(rec.samples().is_empty());
-        assert_eq!(TraceRecorder::default().samples().len(), 0);
-    }
-
-    #[test]
-    fn reconfig_events_are_kept_even_when_disabled() {
-        let mut rec = TraceRecorder::disabled();
-        rec.record_reconfig(Seconds::new(1.5), "threshold=2");
-        rec.record_reconfig(Seconds::new(3.0), "policy=stop-and-go");
-        let events = rec.reconfig_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].time, Seconds::new(1.5));
-        assert_eq!(events[1].description, "policy=stop-and-go");
-        rec.reset();
-        assert!(rec.reconfig_events().is_empty());
-    }
-
-    #[test]
-    fn disabled_recorder_round_trips_through_strict_json() {
-        // Regression: the infinite interval of a disabled recorder used to
-        // go through the derived impls verbatim, which strict JSON cannot
-        // carry. The manual impls omit non-finite interval/since_last and
-        // restore them on load.
-        let mut rec = TraceRecorder::disabled();
-        rec.record_reconfig(Seconds::new(2.0), "threshold=1.5");
-        let json = serde_json::to_string(&rec).expect("serializes");
-        assert!(
-            !json.to_ascii_lowercase().contains("inf"),
-            "non-finite token leaked into JSON: {json}"
-        );
-        let back: TraceRecorder = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, rec);
-        // The restored recorder still behaves disabled.
-        let mut back = back;
-        assert!(!back.tick(Seconds::new(1e9)));
-    }
-
-    #[test]
-    fn active_recorder_round_trips_through_strict_json() {
-        let mut rec = TraceRecorder::new(Seconds::from_millis(10.0), 4);
-        for i in 0..6 {
-            rec.tick(rec.interval());
-            rec.record(sample(i as f64 * 0.01, 42.0 + i as f64));
-        }
-        rec.record_reconfig(Seconds::new(0.03), "policy=mig");
-        let json = serde_json::to_string(&rec).expect("serializes");
-        let back: TraceRecorder = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, rec);
-        // Legacy artifacts without the decimations field load as 0 passes.
-        let mut value = rec.to_value();
-        if let serde::Value::Map(entries) = &mut value {
-            entries.retain(|(key, _)| key != "decimations");
-        }
-        let legacy = TraceRecorder::from_value(&value).expect("legacy parses");
-        assert_eq!(legacy.decimations(), 0);
-        assert_eq!(legacy.samples(), rec.samples());
     }
 }

@@ -195,6 +195,18 @@ fn invalid_values_are_rejected_at_the_spec_boundary() {
             "trace_interval_ms = -5.0".into(),
             "schedule.trace_interval_ms",
         ),
+        (
+            "[schedule]",
+            "trace_interval_ms = 100.0".into(),
+            "[trace] interval_ms",
+        ),
+        ("[trace]", "interval_ms = -1.0".into(), "interval_ms"),
+        ("[trace]", "interval_ms = nan".into(), "interval_ms"),
+        (
+            "[trace]",
+            "tracks = [\"temperatures\", \"nope\"]".into(),
+            "`nope`",
+        ),
         ("[schedule]", "duration = 1e9".into(), "steps"),
         (
             "[[phases]]",
@@ -243,10 +255,9 @@ fn invalid_values_are_rejected_at_the_spec_boundary() {
         "schedule.duration",
         "JSON",
     );
-    // Zero still disables tracing, and a zero threshold is a valid band.
-    let zeros = "name = \"ok\"\n[policy]\nname = \"dvfs-only\"\nthreshold = 0.0\n\
-                 [schedule]\ntrace_interval_ms = 0.0\n";
-    ScenarioSpec::from_toml_str(zeros).expect("zero threshold and trace interval are valid");
+    // A zero threshold is a valid band.
+    let zeros = "name = \"ok\"\n[policy]\nname = \"dvfs-only\"\nthreshold = 0.0\n";
+    ScenarioSpec::from_toml_str(zeros).expect("zero threshold is valid");
     // Live deltas reject the same knobs before touching the simulation.
     let mut sim = ScenarioSpec::new("live")
         .with_schedule(0.0, 0.1)

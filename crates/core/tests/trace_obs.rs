@@ -1,14 +1,11 @@
 //! Integration tests of the observability subsystem: file-backed binary
 //! traces from full simulations (determinism, losslessness, track
 //! selection), reconfiguration events flowing to the sink, the `[trace]`
-//! spec table (parse + hash invariance), runner trace emission, and
-//! cache round-trips of summaries carrying the new accounting fields.
+//! spec table (parse + hash invariance) and runner trace emission.
 
 use std::path::{Path, PathBuf};
 
-use tbp_core::scenario::{
-    FsCache, PhaseSpec, Runner, ScenarioHash, ScenarioSpec, SweepSpec, TraceSpec,
-};
+use tbp_core::scenario::{PhaseSpec, Runner, ScenarioHash, ScenarioSpec, SweepSpec, TraceSpec};
 use tbp_core::sim::Simulation;
 use tbp_core::trace::TrackSelection;
 use tbp_obs::{FileSink, TraceReader, TrackKind};
@@ -275,119 +272,4 @@ fn traced_and_untraced_runs_report_identically() {
         TraceReader::read_file(dir.path().join("traces/equiv.tbptrace")).expect("trace decodes");
     let events = data.track(TrackKind::Reconfig, 0).expect("event track");
     assert_eq!(events.labels, vec!["threshold=1.5".to_string()]);
-}
-
-#[test]
-fn summaries_round_trip_through_fscache_with_tracing_disabled() {
-    // Regression for the disabled-recorder serde hazard: a run whose
-    // schedule disables tracing (`trace_interval_ms = 0`) produces a report
-    // that must store into and load from the strict-JSON FsCache unchanged.
-    let dir = TempDir::new("fscache");
-    let spec: ScenarioSpec = toml::from_str(
-        r#"
-        name = "untraced"
-        package = "HighPerformance"
-
-        [schedule]
-        warmup = 0.5
-        duration = 1.0
-        trace_interval_ms = 0.0
-        "#,
-    )
-    .expect("spec parses");
-    let cold_runner =
-        Runner::sequential().with_cache(FsCache::open(dir.path()).expect("cache opens"));
-    let cold = cold_runner.run_spec(&spec).expect("cold run completes");
-    let warm_runner =
-        Runner::sequential().with_cache(FsCache::open(dir.path()).expect("cache reopens"));
-    let warm = warm_runner.run_spec(&spec).expect("warm run completes");
-    assert_eq!(cold.to_json(), warm.to_json());
-    assert_eq!(
-        warm_runner.stats().simulated,
-        0,
-        "warm run must be all hits"
-    );
-    assert_eq!(warm_runner.stats().cache_hits, 1);
-    assert_eq!(warm.reports[0].summary().unwrap().trace_dropped, 0);
-}
-
-/// Regression (PR 7 satellite): driving the in-memory recorder through its
-/// exact capacity boundary inside a full simulation fires interval-doubling
-/// decimation exactly once, and the summary's `trace_dropped` accounts for
-/// every sample a reader of `Simulation::trace` no longer sees — while a
-/// streaming file sink (which never decimates) keeps the full series.
-#[test]
-fn decimation_boundary_in_full_simulation_accounts_for_dropped_samples() {
-    use tbp_core::sim::builder::Workload;
-    use tbp_core::sim::{SimulationBuilder, SimulationConfig};
-
-    let cap = 40usize;
-    let dir = TempDir::new("decimation-boundary");
-    let path = dir.path().join("boundary.tbptrace");
-    let mut sim = SimulationBuilder::new()
-        .with_package(tbp_thermal::package::Package::mobile_embedded())
-        .with_workload(Workload::sdr())
-        .with_config(SimulationConfig {
-            trace_interval: Some(Seconds::from_millis(100.0)),
-            max_trace_samples: cap,
-            ..SimulationConfig::paper_default()
-        })
-        .build()
-        .expect("simulation builds");
-    sim.attach_trace_sink(
-        Box::new(FileSink::create(&path).expect("sink file creates")),
-        Seconds::from_millis(100.0),
-        TrackSelection::all(),
-    )
-    .expect("sink attaches");
-
-    // 6 s at a 100 ms interval offers the 41st in-memory sample (the
-    // capacity-crossing one) at ~4 s, then a handful more on the doubled
-    // interval — long enough to cross the boundary once, far from twice.
-    sim.run_for(Seconds::new(6.0)).expect("run completes");
-    let summary = sim.summary();
-
-    let rec = sim.trace();
-    assert_eq!(rec.decimations(), 1, "boundary must decimate exactly once");
-    assert!(
-        (rec.interval().as_secs() - 0.2).abs() < 1e-12,
-        "one decimation doubles the 100 ms interval"
-    );
-    // One keep-every-other pass over a full buffer drops exactly half.
-    assert_eq!(rec.dropped(), (cap / 2) as u64);
-    assert_eq!(
-        summary.trace_dropped,
-        rec.dropped(),
-        "summary must report the recorder's drop count"
-    );
-    // The retained series still spans the whole run on a uniform grid.
-    let times: Vec<f64> = rec.samples().iter().map(|s| s.time.as_secs()).collect();
-    assert!(times.len() < cap);
-    assert!(times.last().expect("samples retained") > &5.5);
-    let d0 = times[1] - times[0];
-    for w in times.windows(2) {
-        assert!((w[1] - w[0] - d0).abs() < 1e-9, "grid must stay uniform");
-    }
-    let (retained, dropped) = (rec.samples().len() as u64, rec.dropped());
-
-    // The streaming sink never decimates: the file holds every offered
-    // sampling tick, so the reader-side count exceeds the in-memory one and
-    // matches retained + dropped up to the two clocks' one-tick phase
-    // offset (the recorder stores its first sample at the first step, the
-    // sink fires a full interval after attach) plus the post-decimation
-    // offers the in-memory recorder skipped.
-    sim.detach_trace_sink().expect("sink finalises");
-    let data = TraceReader::read_file(&path).expect("trace decodes");
-    let file_samples = data
-        .track(TrackKind::CoreTemperature, 0)
-        .map(|t| t.times.len() as u64)
-        .expect("temperature track present");
-    assert!(
-        file_samples > retained,
-        "file keeps more than the decimated in-memory series"
-    );
-    assert!(
-        file_samples >= retained + dropped,
-        "reader-side count covers every sample the recorder ever stored"
-    );
 }

@@ -13,8 +13,8 @@
 //!   deadline misses, per-stage queue depths, and reconfiguration events,
 //!   each an independent time series instead of one monolithic sample
 //!   struct;
-//! - a **streaming sink abstraction** ([`TraceSink`]: [`NullSink`],
-//!   [`MemorySink`], [`StreamSink`], [`FileSink`]) whose hot-path methods
+//! - a **streaming sink abstraction** ([`TraceSink`]: [`StreamSink`],
+//!   [`FileSink`]) whose hot-path methods
 //!   never allocate once the sink is attached, preserving the simulator's
 //!   zero-allocation step guarantee while a file-backed trace is recorded;
 //! - **exporters** ([`export`]): perfetto-compatible Chrome-trace JSON,
@@ -71,6 +71,6 @@ pub use format::{TraceError, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SnapshotEmitter,
 };
-pub use sink::{FileSink, MemorySink, NullSink, StreamSink, TraceSink};
+pub use sink::{FileSink, StreamSink, TraceSink};
 pub use tail::{TailProgress, TraceTailer};
 pub use track::{TraceData, Track, TrackDef, TrackKind};

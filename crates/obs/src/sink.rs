@@ -12,7 +12,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::format::{TraceError, TraceWriter};
-use crate::track::{TraceData, Track, TrackDef};
+use crate::track::TrackDef;
 
 /// A consumer of trace records.
 pub trait TraceSink: Send {
@@ -32,143 +32,6 @@ pub trait TraceSink: Send {
     ///
     /// Implementation-specific; file-backed sinks surface I/O errors here.
     fn finish(&mut self) -> Result<(), TraceError>;
-}
-
-/// A sink that discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn begin(&mut self, _tracks: &[TrackDef]) {}
-    fn counter(&mut self, _track: u16, _time_s: f64, _value: f64) {}
-    fn event(&mut self, _track: u16, _time_s: f64, _label: &str) {}
-    fn finish(&mut self) -> Result<(), TraceError> {
-        Ok(())
-    }
-}
-
-/// Per-track state of a [`MemorySink`].
-#[derive(Debug, Clone)]
-struct TrackBuf {
-    track: Track,
-    /// Accept every `stride`-th offered sample (doubled on decimation).
-    stride: u64,
-    /// Samples offered so far (accepted or not).
-    offered: u64,
-}
-
-/// An in-memory sink with optional bounded capacity per track.
-///
-/// With a capacity set, a full counter track is decimated in place —
-/// every other sample is discarded and the acceptance stride doubles — so
-/// arbitrarily long runs keep *full-span* coverage at progressively coarser
-/// resolution instead of silently losing their tail.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    bufs: Vec<TrackBuf>,
-    /// 0 = unbounded.
-    capacity_per_track: usize,
-    decimations: u64,
-}
-
-impl MemorySink {
-    /// An unbounded in-memory sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// A sink keeping at most `capacity` samples per counter track (events
-    /// are capped at the same count, without decimation).
-    pub fn with_capacity_per_track(capacity: usize) -> Self {
-        MemorySink {
-            bufs: Vec::new(),
-            capacity_per_track: capacity,
-            decimations: 0,
-        }
-    }
-
-    /// The accumulated trace so far.
-    pub fn data(&self) -> TraceData {
-        TraceData {
-            tracks: self.bufs.iter().map(|b| b.track.clone()).collect(),
-        }
-    }
-
-    /// Consumes the sink into the accumulated trace.
-    pub fn into_data(self) -> TraceData {
-        TraceData {
-            tracks: self.bufs.into_iter().map(|b| b.track).collect(),
-        }
-    }
-
-    /// Number of keep-every-other decimation passes performed.
-    pub fn decimations(&self) -> u64 {
-        self.decimations
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn begin(&mut self, tracks: &[TrackDef]) {
-        self.bufs = tracks
-            .iter()
-            .map(|def| TrackBuf {
-                track: Track::new(def.clone()),
-                stride: 1,
-                offered: 0,
-            })
-            .collect();
-    }
-
-    fn counter(&mut self, track: u16, time_s: f64, value: f64) {
-        let cap = self.capacity_per_track;
-        let Some(buf) = self.bufs.get_mut(track as usize) else {
-            return;
-        };
-        let offered = buf.offered;
-        buf.offered += 1;
-        if offered % buf.stride != 0 {
-            return;
-        }
-        if cap > 0 && buf.track.times.len() >= cap {
-            keep_every_other(&mut buf.track.times);
-            keep_every_other(&mut buf.track.values);
-            buf.stride *= 2;
-            self.decimations += 1;
-            // The sample that triggered the decimation may now sit off the
-            // coarser grid; drop it rather than record an irregular point.
-            if offered % buf.stride != 0 {
-                return;
-            }
-        }
-        buf.track.times.push(time_s);
-        buf.track.values.push(value);
-    }
-
-    fn event(&mut self, track: u16, time_s: f64, label: &str) {
-        let cap = self.capacity_per_track;
-        let Some(buf) = self.bufs.get_mut(track as usize) else {
-            return;
-        };
-        if cap > 0 && buf.track.times.len() >= cap {
-            return;
-        }
-        buf.track.times.push(time_s);
-        buf.track.labels.push(label.to_string());
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        Ok(())
-    }
-}
-
-/// Keeps elements at even indices (0, 2, 4, …), preserving the series start.
-fn keep_every_other<T>(v: &mut Vec<T>) {
-    let mut i = 0usize;
-    v.retain(|_| {
-        let keep = i.is_multiple_of(2);
-        i += 1;
-        keep
-    });
 }
 
 /// A sink streaming the binary format into any writer.
@@ -310,51 +173,6 @@ mod tests {
             TrackDef::counter(TrackKind::CoreTemperature, 0, 0.1, "core0.temp_c"),
             TrackDef::event(TrackKind::Reconfig, 0, "reconfig"),
         ]
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut sink = NullSink;
-        sink.begin(&defs());
-        sink.counter(0, 0.0, 1.0);
-        sink.event(1, 0.0, "x");
-        assert!(sink.finish().is_ok());
-    }
-
-    #[test]
-    fn memory_sink_accumulates() {
-        let mut sink = MemorySink::new();
-        sink.begin(&defs());
-        sink.counter(0, 0.0, 40.0);
-        sink.counter(0, 0.1, 41.0);
-        sink.counter(9, 0.1, 99.0); // unknown track: ignored
-        sink.event(1, 0.05, "threshold=2");
-        assert!(sink.finish().is_ok());
-        let data = sink.into_data();
-        assert_eq!(data.tracks[0].values, [40.0, 41.0]);
-        assert_eq!(data.tracks[1].labels, ["threshold=2"]);
-    }
-
-    #[test]
-    fn memory_sink_decimates_instead_of_dropping_the_tail() {
-        let mut sink = MemorySink::with_capacity_per_track(8);
-        sink.begin(&[TrackDef::counter(TrackKind::QueueDepth, 0, 1.0, "q0")]);
-        for i in 0..64 {
-            sink.counter(0, i as f64, i as f64);
-        }
-        let data = sink.data();
-        let track = &data.tracks[0];
-        // Bounded, decimated, but covering the full span: the first sample
-        // is t=0 and the last kept sample is near the end of the run.
-        assert!(track.len() <= 8, "len {} exceeds capacity", track.len());
-        assert!(sink.decimations() >= 3);
-        assert_eq!(track.times[0], 0.0);
-        assert!(*track.times.last().unwrap() >= 48.0);
-        // The kept grid is uniform: consecutive spacing is constant.
-        let d0 = track.times[1] - track.times[0];
-        for w in track.times.windows(2) {
-            assert_eq!(w[1] - w[0], d0);
-        }
     }
 
     #[test]
