@@ -436,8 +436,7 @@ mod tests {
 
         // Golden digests of two static specs: the v3 domain is applied only
         // to specs declaring `[[phases]]`, so a static spec's hash moves only
-        // when the defaults fingerprint does (last re-pinned when the
-        // resolved schedule lost its trace interval).
+        // when the defaults fingerprint does.
         let plain = ScenarioSpec::new("x");
         assert_eq!(
             ScenarioHash::of(&plain).unwrap().to_hex(),

@@ -14,9 +14,9 @@
 //!   each an independent time series instead of one monolithic sample
 //!   struct;
 //! - a **streaming sink abstraction** ([`TraceSink`]: [`StreamSink`],
-//!   [`FileSink`]) whose hot-path methods
-//!   never allocate once the sink is attached, preserving the simulator's
-//!   zero-allocation step guarantee while a file-backed trace is recorded;
+//!   [`FileSink`]) whose hot-path methods never allocate once the sink is
+//!   attached, preserving the simulator's zero-allocation step guarantee
+//!   while a file-backed trace is recorded;
 //! - **exporters** ([`export`]): perfetto-compatible Chrome-trace JSON,
 //!   lossless legacy JSON, and long-format CSV;
 //! - a **live metrics registry** ([`metrics`]): allocation-free-after-
