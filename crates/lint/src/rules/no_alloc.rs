@@ -10,7 +10,9 @@
 //!
 //! Regions are declared per file as a function-name list (empty list = the
 //! whole file). The rule finds `fn <name>` and lints to the matching close
-//! brace of the body.
+//! brace of the body. A declared name with no `fn <name>` in its file, or a
+//! declared path that is not a scanned file, is itself a finding: a stale
+//! region would otherwise check nothing and say nothing.
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;
@@ -49,8 +51,42 @@ pub fn check(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) 
         return;
     }
     for name in &hot.functions {
-        for (body_start, body_end) in function_bodies(file, name) {
+        let bodies = function_bodies(file, name);
+        if bodies.is_empty() {
+            out.push(Diagnostic::new(
+                RULE,
+                &file.rel_path,
+                1,
+                1,
+                format!(
+                    "lint.toml declares hot function `{name}` but this file has no \
+                     `fn {name}`; update the [[no_alloc.hot]] entry"
+                ),
+                format!("stale hot fn `{name}`"),
+            ));
+        }
+        for (body_start, body_end) in bodies {
             scan_region(file, body_start, body_end, name, out);
+        }
+    }
+}
+
+/// Reports every declared hot path that is not among the scanned `files`.
+pub fn check_paths(files: &[String], config: &LintConfig, out: &mut Vec<Diagnostic>) {
+    for hot in &config.hot_paths {
+        if !files.contains(&hot.path) {
+            out.push(Diagnostic::new(
+                RULE,
+                "lint.toml",
+                1,
+                1,
+                format!(
+                    "hot path `{}` matches no scanned file; update the \
+                     [[no_alloc.hot]] entry",
+                    hot.path
+                ),
+                format!("stale hot path `{}`", hot.path),
+            ));
         }
     }
 }
@@ -185,12 +221,23 @@ fn hot(xs: &[u32]) {
     fn cold_functions_stay_quiet() {
         let src = "fn cold() { let v = vec![1]; }\nfn hot() { let x = 1 + 2; }\n";
         assert!(run(src, &["hot"]).is_empty());
+        // A declared name with no `fn` in the file is stale, not quiet.
+        let stale = run(src, &["hot", "renamed"]);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert!(stale[0].message.contains("`fn renamed`"));
     }
 
     #[test]
     fn whole_file_mode_lints_everything() {
         let src = "fn a() { let v = vec![1]; }\nfn b() { let s = x.to_owned(); }\n";
         assert_eq!(run(src, &[]).len(), 2);
+        // The declared path must be one of the scanned files.
+        let mut out = Vec::new();
+        check_paths(&["hot.rs".to_string()], &config(&[]), &mut out);
+        assert!(out.is_empty());
+        check_paths(&["moved.rs".to_string()], &config(&[]), &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("`hot.rs`"));
     }
 
     #[test]

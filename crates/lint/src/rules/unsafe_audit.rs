@@ -1,13 +1,14 @@
 //! `unsafe-audit`: every `unsafe` site carries a safety argument.
 //!
-//! The SIMD kernels are the only `unsafe` in the tree, and their soundness
-//! rests on invariants (CPU feature detected, adjacency bounds asserted at
-//! construction) that live far from the call sites. This rule makes the
-//! argument travel with the code: each `unsafe` block, fn, impl or trait
-//! must have a `// SAFETY: …` comment immediately above it (attributes and
-//! blank lines may intervene), a trailing `// SAFETY:` on the same line, or
-//! — for `unsafe fn`/`unsafe impl`/`unsafe trait` — a doc comment with a
-//! `# Safety` section.
+//! The tree's only non-test `unsafe` is the two calls from
+//! `ThermalLaneKernel::advance` into its `#[target_feature]` (AVX2,
+//! AVX-512F) copies of the integrator, and their soundness rests on an
+//! invariant (the CPU feature was detected) that lives far from the call
+//! sites. This rule makes the argument travel with the code: each `unsafe`
+//! block, fn, impl or trait must have a `// SAFETY: …` comment immediately
+//! above it (attributes and blank lines may intervene), a trailing
+//! `// SAFETY:` on the same line, or — for `unsafe fn`/`unsafe impl`/
+//! `unsafe trait` — a doc comment with a `# Safety` section.
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;

@@ -15,8 +15,9 @@
 //! nodes of one lane — the same loop the scalar kernel already runs, with the
 //! same serial edge-scatter dependency. Lane-minor storage turns every scalar
 //! operation of the single-network kernel into an element-wise operation
-//! across lanes, which is exactly the shape LLVM vectorizes (and the shape we
-//! dispatch to AVX-512/AVX2 code paths for at runtime).
+//! across lanes, which is exactly the shape LLVM vectorizes. The kernel is one
+//! portable loop, compiled once per ISA level (baseline, AVX2, AVX-512) and
+//! chosen at runtime.
 //!
 //! # Bit-identical by construction
 //!
@@ -30,13 +31,14 @@
 //! * each node accumulates its incident edge flows in global edge-insertion
 //!   order — the kernel gathers via a CSR adjacency instead of scattering
 //!   `+q`/`-q` per edge, which is exactly (not approximately) the same
-//!   arithmetic; see `derivative_lanes` in this module — using only `+ - * /`, which
-//!   vectorize to correctly-rounded IEEE-754 element-wise instructions with
-//!   no FMA contraction;
+//!   arithmetic; see `LaneTopology::derivative` in this module — using only
+//!   `+ - * /`, which vectorize to correctly-rounded IEEE-754 element-wise
+//!   instructions with no FMA contraction;
 //! * the stage arithmetic copies the expression shapes of the scalar RK4.
 //!
 //! The differential suite in `crates/core/tests/lane_equivalence.rs` pins
-//! this property end-to-end on every supported SIMD level.
+//! this property end-to-end; this module's unit tests pin it per lane count
+//! on every SIMD level the host CPU can run.
 
 use crate::error::ThermalError;
 use crate::model::ThermalModel;
@@ -98,6 +100,124 @@ impl LaneWorkspace {
     }
 }
 
+/// The topology every lane shares, in gather form, plus the derivative
+/// that reads it.
+#[derive(Debug, Clone)]
+struct LaneTopology {
+    lanes: usize,
+    ambient: f64,
+    /// Gather-form adjacency (CSR): node `n`'s incident edges occupy
+    /// `adj_start[n]..adj_start[n + 1]` of `adj_g`/`adj_other`, listed in
+    /// global edge-insertion order. Every entry accumulates uniformly as
+    /// `acc += g * (t_other - t_self)` — see [`LaneTopology::derivative`]
+    /// for why that is bit-identical to the scalar `+q`/`-q` scatter.
+    adj_start: Vec<usize>,
+    adj_other: Vec<usize>,
+    adj_g: Vec<f64>,
+    ambient_g: Vec<f64>,
+    capacitance: Vec<f64>,
+}
+
+impl LaneTopology {
+    /// Lane-batched form of [`RcNetwork::derivative_into`]: per lane the
+    /// same operations in the same order, vectorized across the `lanes`
+    /// consecutive doubles of each node row.
+    ///
+    /// The scalar path scatters each edge's flow `q = g * (t_b - t_a)` as
+    /// `flow[a] += q; flow[b] -= q` in edge order. This kernel instead
+    /// *gathers*: each node walks its incident edges (CSR adjacency, kept in
+    /// global edge order) accumulating into a register, so there is no
+    /// serializing read-modify-write chain through memory and each node's sum
+    /// enjoys independent out-of-order execution. Bit-identity with the
+    /// scatter is exact, not approximate:
+    ///
+    /// * a node's contributions arrive in the same (global edge) order, and
+    ///   interleaving with *other* nodes' updates never affects its own sum;
+    /// * the b-side `flow[b] -= g * (t_b - t_a)` is rewritten as
+    ///   `acc += g * (t_a - t_b)` — IEEE-754 negation is exact and
+    ///   `x - y == x + (-y)` rounds identically, so folding the sign into the
+    ///   operand order gives the same bits while making every entry uniform;
+    /// * only `+ - * /` are used (no FMA contraction), each correctly rounded
+    ///   element-wise.
+    ///
+    /// Common lane counts get a row loop with the width known at compile
+    /// time, which the vectorizer turns into whole-register operations for
+    /// whatever ISA the caller was compiled for; other counts take a
+    /// dynamic-width loop. `inline(always)` keeps both inside the
+    /// `#[target_feature]` copies of the integrator.
+    ///
+    /// [`RcNetwork::derivative_into`]: crate::rc::RcNetwork::derivative_into
+    #[inline(always)]
+    fn derivative(&self, power: &[f64], temps: &[f64], out: &mut [f64]) {
+        match self.lanes {
+            1 => self.rows::<1>(power, temps, out),
+            2 => self.rows::<2>(power, temps, out),
+            4 => self.rows::<4>(power, temps, out),
+            8 => self.rows::<8>(power, temps, out),
+            16 => self.rows::<16>(power, temps, out),
+            _ => self.rows_dyn(power, temps, out),
+        }
+    }
+
+    /// [`derivative`](Self::derivative) for a compile-time lane count: each
+    /// node row is a `[f64; LANES]`, so the only bounds check per edge is
+    /// the lookup of the other endpoint's row.
+    ///
+    /// The lane loops are index loops on purpose: an iterator-zip spelling
+    /// runs this kernel as fast, but its fat-LTO code layout slowed cache
+    /// hits elsewhere in the binary by 20–40% (docs/PERFORMANCE.md).
+    #[inline(always)]
+    fn rows<const LANES: usize>(&self, power: &[f64], temps: &[f64], out: &mut [f64]) {
+        let (t_rows, t_tail) = temps.as_chunks::<LANES>();
+        let (p_rows, p_tail) = power.as_chunks::<LANES>();
+        let (o_rows, o_tail) = out.as_chunks_mut::<LANES>();
+        let nodes = self.ambient_g.len();
+        assert!(t_tail.is_empty() && p_tail.is_empty() && o_tail.is_empty());
+        assert!(t_rows.len() == nodes && p_rows.len() == nodes && o_rows.len() == nodes);
+        for (node, ((o, p), t)) in o_rows.iter_mut().zip(p_rows).zip(t_rows).enumerate() {
+            let g = self.ambient_g[node];
+            let c = self.capacitance[node];
+            let (lo, hi) = (self.adj_start[node], self.adj_start[node + 1]);
+            let mut acc = [0.0f64; LANES];
+            for l in 0..LANES {
+                acc[l] = p[l] + g * (self.ambient - t[l]);
+            }
+            for (&ge, &other) in self.adj_g[lo..hi].iter().zip(&self.adj_other[lo..hi]) {
+                let to = &t_rows[other];
+                for l in 0..LANES {
+                    acc[l] += ge * (to[l] - t[l]);
+                }
+            }
+            for l in 0..LANES {
+                o[l] = acc[l] / c;
+            }
+        }
+    }
+
+    /// [`derivative`](Self::derivative) for any lane count; same operations
+    /// in the same order as [`rows`](Self::rows).
+    fn rows_dyn(&self, power: &[f64], temps: &[f64], out: &mut [f64]) {
+        let lanes = self.lanes;
+        for (node, &g) in self.ambient_g.iter().enumerate() {
+            let base = node * lanes;
+            let c = self.capacitance[node];
+            for l in 0..lanes {
+                out[base + l] = power[base + l] + g * (self.ambient - temps[base + l]);
+            }
+            for e in self.adj_start[node]..self.adj_start[node + 1] {
+                let ge = self.adj_g[e];
+                let obase = self.adj_other[e] * lanes;
+                for l in 0..lanes {
+                    out[base + l] += ge * (temps[obase + l] - temps[base + l]);
+                }
+            }
+            for l in 0..lanes {
+                out[base + l] /= c;
+            }
+        }
+    }
+}
+
 /// SoA integrator stepping N identical-topology RC networks in lockstep.
 ///
 /// Built from N [`ThermalModel`]s that share topology, package ambient, and
@@ -107,22 +227,11 @@ impl LaneWorkspace {
 /// [`ThermalModel::sync_from_lane`].
 #[derive(Debug, Clone)]
 pub struct ThermalLaneKernel {
-    lanes: usize,
+    topo: LaneTopology,
     nodes: usize,
     solver: Solver,
-    ambient: f64,
     /// RC node index of each floorplan block (shared across lanes).
     block_nodes: Vec<usize>,
-    /// Gather-form adjacency (CSR): node `n`'s incident edges occupy
-    /// `adj_start[n]..adj_start[n + 1]` of `adj_g`/`adj_other`, listed in
-    /// global edge-insertion order. Every entry accumulates uniformly as
-    /// `acc += g * (t_other - t_self)` — see [`derivative_lanes`] for why
-    /// that is bit-identical to the scalar `+q`/`-q` scatter.
-    adj_start: Vec<usize>,
-    adj_other: Vec<usize>,
-    adj_g: Vec<f64>,
-    ambient_g: Vec<f64>,
-    capacitance: Vec<f64>,
     max_stable_step: f64,
     /// Node temperatures, lane-minor: `temps[node * lanes + lane]`.
     temps: Vec<f64>,
@@ -164,8 +273,8 @@ impl ThermalLaneKernel {
         let kernel = CompiledKernel::build(first.network().nodes(), first.network().edges());
         let lanes = models.len();
         let nodes = first.network().len();
-        // Invariant the unchecked derivative loops rely on: every edge
-        // endpoint indexes a real node row.
+        // Every edge endpoint indexes a real node row, so the adjacency built
+        // below only names rows the derivative loops can look up.
         assert!(
             kernel
                 .edge_a
@@ -207,16 +316,18 @@ impl ThermalLaneKernel {
             }
         }
         Ok(ThermalLaneKernel {
-            lanes,
+            topo: LaneTopology {
+                lanes,
+                ambient: first.network().ambient().as_celsius(),
+                adj_start,
+                adj_other,
+                adj_g,
+                ambient_g: kernel.ambient_g,
+                capacitance: kernel.capacitance,
+            },
             nodes,
             solver: *first.solver(),
-            ambient: first.network().ambient().as_celsius(),
             block_nodes: first.block_nodes().to_vec(),
-            adj_start,
-            adj_other,
-            adj_g,
-            ambient_g: kernel.ambient_g,
-            capacitance: kernel.capacitance,
             max_stable_step: kernel.max_stable_step,
             temps,
             power,
@@ -227,7 +338,7 @@ impl ThermalLaneKernel {
 
     /// Number of lanes stepped together.
     pub fn num_lanes(&self) -> usize {
-        self.lanes
+        self.topo.lanes
     }
 
     /// Number of RC nodes per lane.
@@ -261,7 +372,7 @@ impl ThermalLaneKernel {
     /// [`ThermalError::PowerLengthMismatch`] when `power` does not have one
     /// entry per floorplan block.
     pub fn set_block_powers(&mut self, lane: usize, power: &[Watts]) -> Result<(), ThermalError> {
-        if lane >= self.lanes {
+        if lane >= self.topo.lanes {
             return Err(ThermalError::UnknownNode(lane));
         }
         if power.len() != self.block_nodes.len() {
@@ -271,7 +382,7 @@ impl ThermalLaneKernel {
             });
         }
         for (&node, p) in self.block_nodes.iter().zip(power) {
-            self.power[node * self.lanes + lane] = p.as_watts();
+            self.power[node * self.topo.lanes + lane] = p.as_watts();
         }
         Ok(())
     }
@@ -288,7 +399,7 @@ impl ThermalLaneKernel {
         lane: usize,
         out: &mut [f64],
     ) -> Result<(), ThermalError> {
-        if lane >= self.lanes {
+        if lane >= self.topo.lanes {
             return Err(ThermalError::UnknownNode(lane));
         }
         if out.len() != self.nodes {
@@ -299,15 +410,15 @@ impl ThermalLaneKernel {
             )));
         }
         for (node, t) in out.iter_mut().enumerate() {
-            *t = self.temps[node * self.lanes + lane];
+            *t = self.temps[node * self.topo.lanes + lane];
         }
         Ok(())
     }
 
     /// Current temperature of one lane's node, for tests and diagnostics.
     pub fn lane_temperature(&self, lane: usize, node: usize) -> Option<f64> {
-        if lane < self.lanes && node < self.nodes {
-            Some(self.temps[node * self.lanes + lane])
+        if lane < self.topo.lanes && node < self.nodes {
+            Some(self.temps[node * self.topo.lanes + lane])
         } else {
             None
         }
@@ -327,486 +438,82 @@ impl ThermalLaneKernel {
         }
         let (substeps, sub_dt) = self.solver.substep_plan(dt_secs, self.max_stable_step);
         match self.simd {
-            SimdLevel::Scalar => self.substeps_portable(substeps, sub_dt),
+            SimdLevel::Scalar => self.substeps(substeps, sub_dt),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `detect_simd` only selects these levels when the CPU
-            // reports the corresponding feature.
+            // SAFETY: `detect_simd` only selects this level when the CPU
+            // reports AVX2.
             SimdLevel::Avx2 => unsafe { self.substeps_avx2(substeps, sub_dt) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above — `detect_simd` reported AVX-512 support.
+            // SAFETY: `detect_simd` only selects this level when the CPU
+            // reports AVX-512F.
             SimdLevel::Avx512 => unsafe { self.substeps_avx512(substeps, sub_dt) },
         }
         Ok(())
     }
 
-    fn substeps_portable(&mut self, substeps: usize, sub_dt: f64) {
-        self.substeps_impl(substeps, sub_dt);
-    }
-
-    // SAFETY: `unsafe` only because of `target_feature`; the sole caller
-    // (`advance`) dispatches here only when `detect_simd` reported AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn substeps_avx2(&mut self, substeps: usize, sub_dt: f64) {
-        self.substeps_impl(substeps, sub_dt);
+    fn substeps_avx2(&mut self, substeps: usize, sub_dt: f64) {
+        self.substeps(substeps, sub_dt);
     }
 
-    // SAFETY: `unsafe` only because of `target_feature`; the sole caller
-    // (`advance`) dispatches here only when `detect_simd` reported AVX-512.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn substeps_avx512(&mut self, substeps: usize, sub_dt: f64) {
-        self.substeps_impl(substeps, sub_dt);
+    fn substeps_avx512(&mut self, substeps: usize, sub_dt: f64) {
+        self.substeps(substeps, sub_dt);
     }
 
-    /// Shared body of the feature-specialized entry points; `inline(always)`
-    /// so each wrapper compiles it with its own vector ISA.
+    /// `substeps` sub-steps of `dt` each, across all lanes. The Euler step
+    /// mirrors [`RcNetwork::euler_step_with`] element-wise; the RK4 stage
+    /// expressions copy [`RcNetwork::rk4_step_with`] shape-for-shape, so each
+    /// lane's arithmetic is bit-identical to the scalar path.
+    /// `inline(always)` so each `#[target_feature]` wrapper compiles it, and
+    /// the derivative inside it, with its own vector ISA.
+    ///
+    /// [`RcNetwork::euler_step_with`]: crate::rc::RcNetwork::euler_step_with
+    /// [`RcNetwork::rk4_step_with`]: crate::rc::RcNetwork::rk4_step_with
     #[inline(always)]
-    fn substeps_impl(&mut self, substeps: usize, sub_dt: f64) {
+    fn substeps(&mut self, substeps: usize, dt: f64) {
         use crate::solver::SolverKind;
-        match self.solver.kind() {
+        let ThermalLaneKernel {
+            topo,
+            solver,
+            temps,
+            power,
+            workspace: ws,
+            ..
+        } = self;
+        match solver.kind() {
             SolverKind::ForwardEuler => {
                 for _ in 0..substeps {
-                    self.euler_substep(sub_dt);
+                    topo.derivative(power, temps, &mut ws.k1);
+                    for (t, d) in temps.iter_mut().zip(&ws.k1) {
+                        *t += dt * d;
+                    }
                 }
             }
             SolverKind::RungeKutta4 => {
                 for _ in 0..substeps {
-                    self.rk4_substep(sub_dt);
+                    ws.t0.copy_from_slice(temps);
+                    topo.derivative(power, &ws.t0, &mut ws.k1);
+                    for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k1) {
+                        *stage = t + 0.5 * dt * k;
+                    }
+                    topo.derivative(power, &ws.stage, &mut ws.k2);
+                    for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k2) {
+                        *stage = t + 0.5 * dt * k;
+                    }
+                    topo.derivative(power, &ws.stage, &mut ws.k3);
+                    for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k3) {
+                        *stage = t + dt * k;
+                    }
+                    topo.derivative(power, &ws.stage, &mut ws.k4);
+                    for (i, temp) in temps.iter_mut().enumerate() {
+                        *temp = ws.t0[i]
+                            + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
+                    }
                 }
             }
-        }
-    }
-
-    /// One forward-Euler sub-step across all lanes; mirrors
-    /// [`RcNetwork::euler_step_with`] element-wise.
-    #[inline(always)]
-    fn euler_substep(&mut self, dt: f64) {
-        derivative_lanes(
-            self.simd,
-            self.lanes,
-            self.ambient,
-            &self.adj_start,
-            &self.adj_other,
-            &self.adj_g,
-            &self.ambient_g,
-            &self.capacitance,
-            &self.power,
-            &self.temps,
-            &mut self.workspace.k1,
-        );
-        for (t, d) in self.temps.iter_mut().zip(&self.workspace.k1) {
-            *t += dt * d;
-        }
-    }
-
-    /// One classic RK4 sub-step across all lanes; the stage expressions copy
-    /// [`RcNetwork::rk4_step_with`] shape-for-shape so each lane's arithmetic
-    /// is bit-identical to the scalar path.
-    #[inline(always)]
-    fn rk4_substep(&mut self, dt: f64) {
-        let ws = &mut self.workspace;
-        ws.t0.copy_from_slice(&self.temps);
-        let deriv = |temps: &[f64], out: &mut [f64]| {
-            derivative_lanes(
-                self.simd,
-                self.lanes,
-                self.ambient,
-                &self.adj_start,
-                &self.adj_other,
-                &self.adj_g,
-                &self.ambient_g,
-                &self.capacitance,
-                &self.power,
-                temps,
-                out,
-            );
-        };
-        deriv(&ws.t0, &mut ws.k1);
-        for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k1) {
-            *stage = t + 0.5 * dt * k;
-        }
-        deriv(&ws.stage, &mut ws.k2);
-        for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k2) {
-            *stage = t + 0.5 * dt * k;
-        }
-        deriv(&ws.stage, &mut ws.k3);
-        for ((stage, &t), &k) in ws.stage.iter_mut().zip(&ws.t0).zip(&ws.k3) {
-            *stage = t + dt * k;
-        }
-        deriv(&ws.stage, &mut ws.k4);
-        for (i, temp) in self.temps.iter_mut().enumerate() {
-            *temp = ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
-        }
-    }
-}
-
-/// Lane-batched form of [`RcNetwork::derivative_into`]: per lane the same
-/// operations in the same order, vectorized across the `lanes` consecutive
-/// doubles of each node row.
-///
-/// The scalar path scatters each edge's flow `q = g * (t_b - t_a)` as
-/// `flow[a] += q; flow[b] -= q` in edge order. This kernel instead *gathers*:
-/// each node walks its incident edges (CSR adjacency, kept in global edge
-/// order) accumulating into a register, so there is no serializing
-/// read-modify-write chain through memory and each node's sum enjoys
-/// independent out-of-order execution. Bit-identity with the scatter is
-/// exact, not approximate:
-///
-/// * a node's contributions arrive in the same (global edge) order, and
-///   interleaving with *other* nodes' updates never affects its own sum;
-/// * the b-side `flow[b] -= g * (t_b - t_a)` is rewritten as
-///   `acc += g * (t_a - t_b)` — IEEE-754 negation is exact and
-///   `x - y == x + (-y)` rounds identically, so folding the sign into the
-///   operand order gives the same bits while making every entry uniform;
-/// * only `+ - * /` are used (no FMA contraction), each correctly rounded
-///   element-wise.
-///
-/// Dispatches on the detected SIMD level and the lane count: hand-written
-/// 512-/256-bit row kernels when the lane count fills whole vectors (LLVM's
-/// autovectorizer prefers 256-bit operations even under AVX-512, leaving half
-/// the register width unused), a monomorphized element loop for other common
-/// lane counts, and a fully bounds-checked loop otherwise.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn derivative_lanes(
-    simd: SimdLevel,
-    lanes: usize,
-    ambient: f64,
-    adj_start: &[usize],
-    adj_other: &[usize],
-    adj_g: &[f64],
-    ambient_g: &[f64],
-    capacitance: &[f64],
-    power: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    let nodes = ambient_g.len();
-    assert_eq!(out.len(), nodes * lanes);
-    assert_eq!(temps.len(), out.len());
-    assert_eq!(power.len(), out.len());
-    assert_eq!(capacitance.len(), nodes);
-    assert_eq!(adj_start.len(), nodes + 1);
-    assert_eq!(adj_start.last().copied(), Some(adj_g.len()));
-    assert_eq!(adj_other.len(), adj_g.len());
-    // SAFETY (all branches): the shape checks above plus the construction
-    // invariants of the adjacency (monotone `adj_start`, every `adj_other`
-    // entry `< nodes` — both asserted when the kernel is built) bound every
-    // `node * lanes + l` access by `out.len()`; the intrinsic branches
-    // additionally require the matching CPU feature, which `detect_simd`
-    // established for the passed `simd` level.
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd == SimdLevel::Avx512 && lanes.is_multiple_of(8) {
-            // SAFETY: shape argument above; AVX-512 is available at this
-            // `simd` level.
-            return unsafe {
-                derivative_avx512(
-                    lanes,
-                    ambient,
-                    adj_start,
-                    adj_other,
-                    adj_g,
-                    ambient_g,
-                    capacitance,
-                    power,
-                    temps,
-                    out,
-                )
-            };
-        }
-        if simd != SimdLevel::Scalar && lanes.is_multiple_of(4) {
-            // AVX-512 implies AVX2; 4-lane batches on an AVX-512 machine use
-            // the 256-bit kernel rather than falling back to scalar code.
-            // SAFETY: shape argument above; AVX2 is available at either
-            // non-scalar `simd` level.
-            return unsafe {
-                derivative_avx2(
-                    lanes,
-                    ambient,
-                    adj_start,
-                    adj_other,
-                    adj_g,
-                    ambient_g,
-                    capacitance,
-                    power,
-                    temps,
-                    out,
-                )
-            };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
-    match lanes {
-        // SAFETY: shape argument above (scalar rows, no CPU feature).
-        1 => unsafe {
-            derivative_rows::<1>(
-                ambient,
-                adj_start,
-                adj_other,
-                adj_g,
-                ambient_g,
-                capacitance,
-                power,
-                temps,
-                out,
-            )
-        },
-        // SAFETY: shape argument above (scalar rows, no CPU feature).
-        2 => unsafe {
-            derivative_rows::<2>(
-                ambient,
-                adj_start,
-                adj_other,
-                adj_g,
-                ambient_g,
-                capacitance,
-                power,
-                temps,
-                out,
-            )
-        },
-        // SAFETY: shape argument above (scalar rows, no CPU feature).
-        4 => unsafe {
-            derivative_rows::<4>(
-                ambient,
-                adj_start,
-                adj_other,
-                adj_g,
-                ambient_g,
-                capacitance,
-                power,
-                temps,
-                out,
-            )
-        },
-        // SAFETY: shape argument above (scalar rows, no CPU feature).
-        8 => unsafe {
-            derivative_rows::<8>(
-                ambient,
-                adj_start,
-                adj_other,
-                adj_g,
-                ambient_g,
-                capacitance,
-                power,
-                temps,
-                out,
-            )
-        },
-        // SAFETY: shape argument above (scalar rows, no CPU feature).
-        16 => unsafe {
-            derivative_rows::<16>(
-                ambient,
-                adj_start,
-                adj_other,
-                adj_g,
-                ambient_g,
-                capacitance,
-                power,
-                temps,
-                out,
-            )
-        },
-        _ => derivative_rows_dyn(
-            lanes,
-            ambient,
-            adj_start,
-            adj_other,
-            adj_g,
-            ambient_g,
-            capacitance,
-            power,
-            temps,
-            out,
-        ),
-    }
-}
-
-/// 512-bit derivative rows: one `vaddpd`/`vsubpd`/`vmulpd`/`vdivpd` per 8
-/// lanes. All four operations are correctly-rounded IEEE-754 element-wise
-/// (no FMA contraction), so each lane's arithmetic is bit-identical to the
-/// scalar expression it mirrors. The whole node row — init, gathered edge
-/// accumulation, capacitance divide — stays in one register between the
-/// single load and single store per vector of lanes.
-///
-/// # Safety
-///
-/// Caller must verify AVX-512F support, the shape preconditions of
-/// [`derivative_rows`], and `lanes % 8 == 0`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn derivative_avx512(
-    lanes: usize,
-    ambient: f64,
-    adj_start: &[usize],
-    adj_other: &[usize],
-    adj_g: &[f64],
-    ambient_g: &[f64],
-    capacitance: &[f64],
-    power: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let op = out.as_mut_ptr();
-    let tp = temps.as_ptr();
-    let pp = power.as_ptr();
-    let amb = _mm512_set1_pd(ambient);
-    for (node, &g) in ambient_g.iter().enumerate() {
-        let gv = _mm512_set1_pd(g);
-        let cv = _mm512_set1_pd(*capacitance.get_unchecked(node));
-        let base = node * lanes;
-        let (lo, hi) = (
-            *adj_start.get_unchecked(node),
-            *adj_start.get_unchecked(node + 1),
-        );
-        for l in (0..lanes).step_by(8) {
-            let t = _mm512_loadu_pd(tp.add(base + l));
-            let mut acc = _mm512_add_pd(
-                _mm512_loadu_pd(pp.add(base + l)),
-                _mm512_mul_pd(gv, _mm512_sub_pd(amb, t)),
-            );
-            for e in lo..hi {
-                let ge = _mm512_set1_pd(*adj_g.get_unchecked(e));
-                let to = _mm512_loadu_pd(tp.add(*adj_other.get_unchecked(e) * lanes + l));
-                acc = _mm512_add_pd(acc, _mm512_mul_pd(ge, _mm512_sub_pd(to, t)));
-            }
-            _mm512_storeu_pd(op.add(base + l), _mm512_div_pd(acc, cv));
-        }
-    }
-}
-
-/// 256-bit derivative rows; see [`derivative_avx512`] for the bit-identity
-/// argument.
-///
-/// # Safety
-///
-/// Caller must verify AVX2 support, the shape preconditions of
-/// [`derivative_rows`], and `lanes % 4 == 0`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn derivative_avx2(
-    lanes: usize,
-    ambient: f64,
-    adj_start: &[usize],
-    adj_other: &[usize],
-    adj_g: &[f64],
-    ambient_g: &[f64],
-    capacitance: &[f64],
-    power: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let op = out.as_mut_ptr();
-    let tp = temps.as_ptr();
-    let pp = power.as_ptr();
-    let amb = _mm256_set1_pd(ambient);
-    for (node, &g) in ambient_g.iter().enumerate() {
-        let gv = _mm256_set1_pd(g);
-        let cv = _mm256_set1_pd(*capacitance.get_unchecked(node));
-        let base = node * lanes;
-        let (lo, hi) = (
-            *adj_start.get_unchecked(node),
-            *adj_start.get_unchecked(node + 1),
-        );
-        for l in (0..lanes).step_by(4) {
-            let t = _mm256_loadu_pd(tp.add(base + l));
-            let mut acc = _mm256_add_pd(
-                _mm256_loadu_pd(pp.add(base + l)),
-                _mm256_mul_pd(gv, _mm256_sub_pd(amb, t)),
-            );
-            for e in lo..hi {
-                let ge = _mm256_set1_pd(*adj_g.get_unchecked(e));
-                let to = _mm256_loadu_pd(tp.add(*adj_other.get_unchecked(e) * lanes + l));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(ge, _mm256_sub_pd(to, t)));
-            }
-            _mm256_storeu_pd(op.add(base + l), _mm256_div_pd(acc, cv));
-        }
-    }
-}
-
-/// Monomorphized derivative body for a compile-time lane count.
-///
-/// # Safety
-///
-/// `out`, `temps`, and `power` must be `ambient_g.len() * LANES` long,
-/// `capacitance` must be `ambient_g.len()` long, `adj_start` must be a
-/// monotone `ambient_g.len() + 1`-long prefix table into
-/// `adj_other`/`adj_g`, and every `adj_other` entry must be
-/// `< ambient_g.len()`.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn derivative_rows<const LANES: usize>(
-    ambient: f64,
-    adj_start: &[usize],
-    adj_other: &[usize],
-    adj_g: &[f64],
-    ambient_g: &[f64],
-    capacitance: &[f64],
-    power: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    for (node, &g) in ambient_g.iter().enumerate() {
-        let base = node * LANES;
-        let c = *capacitance.get_unchecked(node);
-        let mut acc = [0.0f64; LANES];
-        for (l, a) in acc.iter_mut().enumerate() {
-            *a = *power.get_unchecked(base + l) + g * (ambient - *temps.get_unchecked(base + l));
-        }
-        let (lo, hi) = (
-            *adj_start.get_unchecked(node),
-            *adj_start.get_unchecked(node + 1),
-        );
-        for e in lo..hi {
-            let ge = *adj_g.get_unchecked(e);
-            let obase = *adj_other.get_unchecked(e) * LANES;
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a += ge * (*temps.get_unchecked(obase + l) - *temps.get_unchecked(base + l));
-            }
-        }
-        for (l, a) in acc.iter().enumerate() {
-            *out.get_unchecked_mut(base + l) = a / c;
-        }
-    }
-}
-
-/// Fully bounds-checked fallback for uncommon lane counts; same operations
-/// in the same order as [`derivative_rows`].
-#[allow(clippy::too_many_arguments)]
-fn derivative_rows_dyn(
-    lanes: usize,
-    ambient: f64,
-    adj_start: &[usize],
-    adj_other: &[usize],
-    adj_g: &[f64],
-    ambient_g: &[f64],
-    capacitance: &[f64],
-    power: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    for (node, &g) in ambient_g.iter().enumerate() {
-        let base = node * lanes;
-        let c = capacitance[node];
-        for l in 0..lanes {
-            out[base + l] = power[base + l] + g * (ambient - temps[base + l]);
-        }
-        for e in adj_start[node]..adj_start[node + 1] {
-            let ge = adj_g[e];
-            let obase = adj_other[e] * lanes;
-            for l in 0..lanes {
-                out[base + l] += ge * (temps[obase + l] - temps[base + l]);
-            }
-        }
-        for l in 0..lanes {
-            out[base + l] /= c;
         }
     }
 }
@@ -860,32 +567,53 @@ mod tests {
             .is_err());
     }
 
-    /// Lane counts that exercise every dispatch path: the 512-bit kernel
-    /// (8, 16), the 256-bit kernel (4), the monomorphized element loops
-    /// (1, 2), and the dynamic fallback (3, 5).
+    /// Lane counts that exercise every width `LaneTopology::derivative`
+    /// dispatches on: the compile-time row loops (1, 2, 4, 8, 16) and the
+    /// dynamic-width loop (3, 5). Each runs on every SIMD level this CPU
+    /// supports, so the baseline loop and each `#[target_feature]` copy of
+    /// the integrator are all checked, whichever level `detect_simd` picks.
     const LANE_COUNTS: [usize; 7] = [1, 2, 3, 4, 5, 8, 16];
+
+    /// `Scalar`, plus each `#[target_feature]` level the CPU reports.
+    fn runnable_levels() -> Vec<SimdLevel> {
+        #[allow(unused_mut)]
+        let mut levels = vec![SimdLevel::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(SimdLevel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(SimdLevel::Avx512);
+            }
+        }
+        levels
+    }
 
     /// The load-bearing property: each lane of the batched kernel produces
     /// *bit-identical* temperatures to a scalar [`ThermalModel::step`] run of
     /// the same model, for both solvers, heterogeneous lane powers, and
-    /// every SIMD dispatch path reachable on this machine.
+    /// every SIMD level this CPU can run.
     #[test]
     fn lanes_match_scalar_models_bit_for_bit() {
-        for kind in [SolverKind::ForwardEuler, SolverKind::RungeKutta4] {
-            for package in [Package::mobile_embedded(), Package::high_performance()] {
-                for lanes in LANE_COUNTS {
-                    lanes_match_scalar_case(kind, package.clone(), lanes);
+        for simd in runnable_levels() {
+            for kind in [SolverKind::ForwardEuler, SolverKind::RungeKutta4] {
+                for package in [Package::mobile_embedded(), Package::high_performance()] {
+                    for lanes in LANE_COUNTS {
+                        lanes_match_scalar_case(simd, kind, package.clone(), lanes);
+                    }
                 }
             }
         }
     }
 
-    fn lanes_match_scalar_case(kind: SolverKind, package: Package, lanes: usize) {
+    fn lanes_match_scalar_case(simd: SimdLevel, kind: SolverKind, package: Package, lanes: usize) {
         let reference = model(package, kind);
         let mut scalar: Vec<ThermalModel> = (0..lanes).map(|_| reference.clone()).collect();
         let mut batched = scalar.clone();
         let mut kernel =
             ThermalLaneKernel::from_models(&batched.iter().collect::<Vec<_>>()).unwrap();
+        kernel.simd = simd;
         let dt = Seconds::from_millis(5.0);
         for step in 0..200 {
             for (lane, (s, b)) in scalar.iter_mut().zip(&mut batched).enumerate() {
@@ -911,7 +639,7 @@ mod tests {
                 assert_eq!(
                     ts.to_bits(),
                     tb.to_bits(),
-                    "{kind:?} {lanes} lanes, lane {lane} node {node}: \
+                    "{simd:?} {kind:?} {lanes} lanes, lane {lane} node {node}: \
                      scalar {ts} vs batched {tb}"
                 );
             }
