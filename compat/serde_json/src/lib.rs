@@ -83,7 +83,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 pub fn parse_value_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {pos}")));
@@ -184,10 +184,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest `[`/`{` nesting the parser accepts. [`parse_value`] recurses
+/// once per level, so without a cap a hostile input (a cache entry, a merge
+/// file, a network frame) could overflow the stack and abort the process.
+/// Every document this workspace writes nests far less deeply.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value; `depth` counts the containers already open around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ))),
         Some(b'{') => {
             *pos += 1;
             let mut entries = Vec::new();
@@ -204,7 +214,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::new(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -226,7 +236,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -250,51 +260,74 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| Error::new("invalid \\u code point"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(Error::new("invalid escape sequence")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy everything up to the next `"` or `\` in one piece. Neither
+        // byte occurs inside a multi-byte UTF-8 sequence, so the run starts
+        // and ends on character boundaries, and each input byte is scanned
+        // and validated once.
+        let rest = &bytes[*pos..];
+        let run = rest
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\\'))
+            .ok_or_else(|| Error::new("unterminated string"))?;
+        let text =
+            std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8 in string"))?;
+        out.push_str(text);
+        *pos += run + 1;
+        if rest[run] == b'"' {
+            return Ok(out);
         }
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let (c, len) = unicode_escape(&bytes[*pos + 1..])?;
+                out.push(c);
+                *pos += len;
+            }
+            _ => return Err(Error::new("invalid escape sequence")),
+        }
+        *pos += 1;
     }
+}
+
+/// Decodes the hex digits after a `\u`, returning the character and the
+/// number of bytes consumed. A high surrogate combines with the `\uXXXX` low
+/// surrogate that must follow it; a lone or reversed surrogate is an error.
+fn unicode_escape(bytes: &[u8]) -> Result<(char, usize), Error> {
+    let unpaired = || Error::new("unpaired surrogate in \\u escape");
+    let first = hex4(bytes)?;
+    if !(0xD800..0xDC00).contains(&first) {
+        // A scalar value, or a lone low surrogate (which `from_u32` rejects).
+        return char::from_u32(first.into())
+            .map(|c| (c, 4))
+            .ok_or_else(unpaired);
+    }
+    if bytes.get(4..6) != Some(b"\\u") {
+        return Err(unpaired());
+    }
+    match char::decode_utf16([first, hex4(&bytes[6..])?]).next() {
+        Some(Ok(c)) => Ok((c, 10)),
+        _ => Err(unpaired()),
+    }
+}
+
+/// The UTF-16 code unit spelled by the first four bytes (hex digits).
+fn hex4(bytes: &[u8]) -> Result<u16, Error> {
+    let digits = bytes
+        .get(..4)
+        .ok_or_else(|| Error::new("truncated \\u escape"))?;
+    digits.iter().try_fold(0u16, |unit, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| Error::new("invalid \\u escape"))?;
+        Ok(unit << 4 | digit as u16)
+    })
 }
 
 fn parse_scalar(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
@@ -378,5 +411,89 @@ mod tests {
         assert!(parse_value_str("[1,]").is_err());
         assert!(parse_value_str("1 2").is_err());
         assert!(parse_value_str("wibble").is_err());
+    }
+
+    fn parse_str(json: &str) -> Result<String, Error> {
+        match parse_value_str(json)? {
+            Value::Str(s) => Ok(s),
+            other => panic!("expected a string, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_into_one_char() {
+        assert_eq!(parse_str(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(parse_str(r#""a\uD834\uDD1Eb""#).unwrap(), "a\u{1D11E}b");
+        assert_eq!(parse_str(r#""\u00e9\u4e2d""#).unwrap(), "é中");
+    }
+
+    #[test]
+    fn lone_and_reversed_surrogates_are_errors() {
+        for bad in [
+            r#""\ud83d""#,       // high surrogate at the end
+            r#""\ud83dx""#,      // high surrogate followed by text
+            r#""\ud83d\u0041""#, // high surrogate followed by a scalar
+            r#""\ud83d\ud83d""#, // two high surrogates
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ude00\ud83d""#, // reversed pair
+            r#""\ud83d\ude0""#,  // truncated low half
+            r#""\u+041""#,       // sign is not a hex digit
+        ] {
+            assert!(parse_str(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value_str(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Unbalanced and far deeper than any thread's stack allows.
+        assert!(parse_value_str(&"[".repeat(100_000)).is_err());
+        assert!(parse_value_str(&r#"{"a":"#.repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn string_decoding_is_linear_in_the_input() {
+        // ~4 MB of string-heavy JSON mixing multi-byte characters and
+        // escapes. A linear decoder needs tens of milliseconds; a quadratic
+        // one needs minutes, so the parse runs on a worker and the test
+        // fails on a deadline instead of hanging.
+        let item = r#""ab\"cd é中😀 \\ \u00e9 lorem ipsum dolor sit amet, consectetur""#;
+        let doc = format!("[{}]", vec![item; 4_000_000 / item.len()].join(","));
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(parse_value_str(&doc).map(|_| ())));
+        let outcome = finished
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("parsing ~4 MB took over 5 s: string decoding is not linear");
+        outcome.unwrap();
+    }
+
+    /// A character drawn to exercise every branch of the string codec.
+    fn test_char(raw: u32) -> char {
+        let pick = raw >> 3;
+        match raw % 8 {
+            0 => char::from(b' ' + (pick % 95) as u8),
+            1 => '"',
+            2 => '\\',
+            3 => char::from((pick % 0x20) as u8),
+            4 => ['é', 'ß', 'Ω', 'ж'][pick as usize % 4],
+            5 => ['中', '€', '\u{FFFD}', '\u{2028}'][pick as usize % 4],
+            6 => ['😀', '𝄞', '\u{10FFFF}', '\u{1F4A9}'][pick as usize % 4],
+            _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{D7FF}'),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip(raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..48)) {
+            let text: String = raw.into_iter().map(test_char).collect();
+            let json = to_string(&text).unwrap();
+            proptest::prop_assert_eq!(parse_value_str(&json).unwrap(), Value::Str(text.clone()));
+            proptest::prop_assert_eq!(from_str::<String>(&json).unwrap(), text);
+        }
     }
 }

@@ -147,10 +147,13 @@ impl RunCache for FsCache {
             metrics.loads.inc();
         }
         let path = self.entry_path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let Ok(report) = serde_json::from_str(&text) else {
+        let bytes = std::fs::read(&path).ok()?;
+        let parsed = std::str::from_utf8(&bytes).map(serde_json::from_str);
+        let Ok(Ok(report)) = parsed else {
             // A crash mid-`store` on a pre-atomic-rename filesystem, a torn
-            // copy, or plain disk corruption: quarantine the entry so it (a)
+            // copy, or plain disk corruption (bytes that are not UTF-8, JSON
+            // that does not parse or nests too deeply, a report of the wrong
+            // shape): quarantine the entry so it (a)
             // stops being re-parsed on every later lookup and (b) stays on
             // disk for a post-mortem, then treat the lookup as a miss — the
             // scenario re-simulates and the next store writes a fresh entry.

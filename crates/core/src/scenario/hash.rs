@@ -42,6 +42,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Serialize, Value};
 
@@ -88,6 +89,14 @@ pub struct ScenarioHash([u8; 32]);
 impl ScenarioHash {
     /// Hashes the semantic content of a concrete spec.
     ///
+    /// The preimage is `domain ‖ 0 ‖ defaults fingerprint ‖ 0 ‖`
+    /// [`canonical_json`]. Everything before the canonical JSON is the same
+    /// for every spec of a domain, so it is absorbed once per process into a
+    /// primed SHA-256 state per domain ([`HASH_DOMAIN`],
+    /// [`HASH_DOMAIN_PHASED`]); each call clones that state and absorbs
+    /// only the spec's canonical JSON. The digest equals a from-scratch hash
+    /// of the whole preimage.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Spec`] when the spec still carries a sweep: a
@@ -102,16 +111,10 @@ impl ScenarioHash {
                 spec.name
             )));
         }
-        let domain = if spec.has_phases() {
-            HASH_DOMAIN_PHASED
-        } else {
-            HASH_DOMAIN
-        };
-        let mut sha = Sha256::new();
-        sha.update(domain.as_bytes());
-        sha.update(&[0]);
-        sha.update(defaults_fingerprint().as_bytes());
-        sha.update(&[0]);
+        static PRIMED: OnceLock<[Sha256; 2]> = OnceLock::new();
+        let [plain, phased] =
+            PRIMED.get_or_init(|| [HASH_DOMAIN, HASH_DOMAIN_PHASED].map(primed_state));
+        let mut sha = if spec.has_phases() { phased } else { plain }.clone();
         sha.update(canonical_json(spec).as_bytes());
         Ok(ScenarioHash(sha.finalize()))
     }
@@ -194,6 +197,17 @@ impl fmt::Display for ScenarioHash {
     }
 }
 
+/// A SHA-256 state that has absorbed the digest prefix shared by every spec
+/// of `domain`: `domain ‖ 0 ‖ defaults_fingerprint() ‖ 0`.
+fn primed_state(domain: &str) -> Sha256 {
+    let mut sha = Sha256::new();
+    sha.update(domain.as_bytes());
+    sha.update(&[0]);
+    sha.update(defaults_fingerprint().as_bytes());
+    sha.update(&[0]);
+    sha
+}
+
 /// A deterministic rendering of the fully resolved default configuration —
 /// everything a spec inherits when it leaves a section out. Folded into
 /// every digest so that editing a default (threshold, schedule, platform
@@ -201,7 +215,7 @@ impl fmt::Display for ScenarioHash {
 /// caches miss cleanly rather than replaying reports computed under the old
 /// semantics.
 fn defaults_fingerprint() -> &'static str {
-    static FINGERPRINT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
     FINGERPRINT.get_or_init(|| {
         let defaults = ScenarioSpec::new(String::new());
         format!(
@@ -304,6 +318,7 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Plain SHA-256 (FIPS 180-4). The workspace builds without a crates
 /// registry, so the digest is implemented here rather than pulled in.
+#[derive(Clone)]
 struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
@@ -472,6 +487,36 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), all.len(), "every phase knob must hash");
+    }
+
+    #[test]
+    fn primed_prefix_matches_a_from_scratch_digest() {
+        use crate::scenario::spec::PhaseSpec;
+
+        let specs = [
+            ScenarioSpec::new("x"),
+            ScenarioSpec::new("y").with_policy("stop-and-go", 2.0),
+            ScenarioSpec::new("p").with_phases([PhaseSpec::at(5.0).with_threshold(2.0)]),
+        ];
+        for spec in &specs {
+            let domain = if spec.has_phases() {
+                HASH_DOMAIN_PHASED
+            } else {
+                HASH_DOMAIN
+            };
+            let mut preimage = Vec::new();
+            preimage.extend_from_slice(domain.as_bytes());
+            preimage.push(0);
+            preimage.extend_from_slice(defaults_fingerprint().as_bytes());
+            preimage.push(0);
+            preimage.extend_from_slice(canonical_json(spec).as_bytes());
+            assert_eq!(
+                ScenarioHash::of(spec).unwrap().to_hex(),
+                sha256_hex(&preimage),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]

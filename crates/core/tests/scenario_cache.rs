@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use tbp_core::scenario::{
-    load_dir, CacheMetrics, FsCache, MemCache, PartialReport, PlatformSpec, Runner, ScenarioHash,
-    ScenarioSpec, ShardPlan, SweepSpec, WorkloadDecl, WorkloadKind,
+    load_dir, CacheMetrics, FsCache, MemCache, PartialReport, PlatformSpec, RunCache, Runner,
+    ScenarioHash, ScenarioSpec, ShardPlan, SweepSpec, WorkloadDecl, WorkloadKind,
 };
 use tbp_core::SimError;
 
@@ -264,6 +264,28 @@ fn torn_cache_entry_is_quarantined_and_resimulates_byte_identically() {
 }
 
 #[test]
+fn deeply_nested_cache_entry_is_quarantined_and_misses() {
+    // Nesting far past the JSON decoder's depth cap: a decoder that recursed
+    // once per level would overflow the stack and abort the process here.
+    let tmp = TempDir::new("deep-entry");
+    let registry = tbp_obs::MetricsRegistry::new();
+    let cache = FsCache::open(&tmp.0)
+        .expect("cache opens")
+        .with_metrics(CacheMetrics::register(&registry));
+    let key = ScenarioHash::of(&ScenarioSpec::new("deep")).unwrap();
+    let entry = tmp.0.join(format!("{}.json", key.to_hex()));
+    std::fs::write(&entry, "[".repeat(100_000)).expect("entry writes");
+
+    assert!(cache.load(&key).is_none(), "a too-deep entry is a miss");
+    assert!(!entry.exists(), "the entry left its slot");
+    assert!(tmp.0.join(format!("{}.corrupt", key.to_hex())).exists());
+    assert_eq!(
+        registry.snapshot(0.0).counter("cache.load_corrupt"),
+        Some(1)
+    );
+}
+
+#[test]
 fn warm_cache_rerun_of_every_shipped_scenario_performs_zero_simulations() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let specs: Vec<ScenarioSpec> = load_dir(&dir)
@@ -514,5 +536,89 @@ proptest! {
         let merged = PartialReport::merge(partials).expect("round-tripped set merges");
         let single = Runner::new().run_spec(&spec).expect("reference runs");
         prop_assert_eq!(merged.to_csv(), single.to_csv());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder fuzzing of stored entries: real encoded reports, damaged, fed
+// through `FsCache::load`. Every input must load or miss; a panic or an
+// abort (stack overflow) fails the property.
+// ---------------------------------------------------------------------------
+
+/// The stored bytes of every entry of one small cold batch.
+fn stored_entries() -> &'static [Vec<u8>] {
+    static ENTRIES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    ENTRIES.get_or_init(|| {
+        let tmp = TempDir::new("fuzz-corpus");
+        let cache = Arc::new(FsCache::open(&tmp.0).expect("cache opens"));
+        Runner::new()
+            .with_cache_arc(cache)
+            .run_spec(&grid_spec("fuzz"))
+            .expect("corpus batch runs");
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&tmp.0)
+            .expect("cache dir lists")
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| std::fs::read(p).expect("entry reads"))
+            .collect()
+    })
+}
+
+/// Applies mutation `kind` to `bytes`, using `a`/`b` as positions: a
+/// flipped bit, a truncation, nesting spliced in (up to far past the
+/// decoder's depth cap), or a slice of the entry copied elsewhere.
+fn damage(bytes: &[u8], kind: u8, a: u64, b: u64, bit: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = (a % bytes.len() as u64) as usize;
+    match kind {
+        0 => out[at] ^= 1 << bit,
+        1 => out.truncate(at),
+        2 => {
+            // From ~10 levels (bit 7) to ~200 000 (bit 0).
+            let depth = (b % 200_000) as usize >> (2 * bit);
+            let open: &[u8] = if b >> 63 == 0 { b"[" } else { b"{\"k\":" };
+            out.splice(at..at, open.repeat(depth));
+        }
+        _ => {
+            let from = (b % bytes.len() as u64) as usize;
+            let len = (usize::from(bit) * 37).min(bytes.len() - from);
+            out.splice(at..at, bytes[from..from + len].iter().copied());
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn damaged_cache_entries_load_or_miss_never_panic(
+        entry in 0usize..8,
+        kind in 0u8..4,
+        a in any::<u64>(),
+        b in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let entries = stored_entries();
+        let damaged = damage(&entries[entry % entries.len()], kind, a, b, bit);
+        let tmp = TempDir::new("fuzz-load");
+        let cache = FsCache::open(&tmp.0).expect("cache opens");
+        let key = ScenarioHash::of(&ScenarioSpec::new("fuzz")).unwrap();
+        let path = tmp.0.join(format!("{}.json", key.to_hex()));
+        std::fs::write(&path, &damaged).expect("entry writes");
+        let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.load(&key)));
+        prop_assert!(
+            loaded.is_ok(),
+            "mutation {kind} panicked; input:\n{}",
+            String::from_utf8_lossy(&damaged)
+        );
+        prop_assert!(
+            loaded.unwrap().is_some() || !path.exists(),
+            "a miss must quarantine the damaged entry"
+        );
     }
 }

@@ -543,48 +543,33 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or("unterminated string")?
-            {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied().ok_or("bad escape")? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("bad unicode escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad unicode escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad unicode escape")?;
-                            out.push(char::from_u32(code).ok_or("bad unicode escape")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("unsupported escape"),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: take the whole char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy everything up to the next `"` or `\` in one piece:
+            // neither byte occurs inside a multi-byte UTF-8 sequence, so the
+            // run ends on a character boundary and each byte is read once.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\'))
+                .ok_or("unterminated string")?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8 in string")?);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.bytes.get(self.pos).copied().ok_or("bad escape")? {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let (ch, len) = unicode_escape(&self.bytes[self.pos + 1..])?;
+                    out.push(ch);
+                    self.pos += len;
+                }
+                _ => return Err("unsupported escape"),
+            }
+            self.pos += 1;
         }
     }
 
@@ -672,6 +657,34 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// Decodes the hex digits after a `\u`, returning the character and the
+/// number of bytes consumed. A high surrogate combines with the `\uXXXX` low
+/// surrogate that must follow it; a lone or reversed surrogate is an error.
+fn unicode_escape(bytes: &[u8]) -> Result<(char, usize), &'static str> {
+    const UNPAIRED: &str = "unpaired surrogate in unicode escape";
+    let first = hex4(bytes)?;
+    if !(0xD800..0xDC00).contains(&first) {
+        // A scalar value, or a lone low surrogate (which `from_u32` rejects).
+        return char::from_u32(first.into()).map(|c| (c, 4)).ok_or(UNPAIRED);
+    }
+    if bytes.get(4..6) != Some(b"\\u") {
+        return Err(UNPAIRED);
+    }
+    match char::decode_utf16([first, hex4(&bytes[6..])?]).next() {
+        Some(Ok(c)) => Ok((c, 10)),
+        _ => Err(UNPAIRED),
+    }
+}
+
+/// The UTF-16 code unit spelled by the first four bytes (hex digits).
+fn hex4(bytes: &[u8]) -> Result<u16, &'static str> {
+    let digits = bytes.get(..4).ok_or("bad unicode escape")?;
+    digits.iter().try_fold(0u16, |unit, &b| {
+        let digit = char::from(b).to_digit(16).ok_or("bad unicode escape")?;
+        Ok(unit << 4 | digit as u16)
+    })
 }
 
 /// Background thread that appends one [`MetricsSnapshot`] JSONL line to a
@@ -817,6 +830,40 @@ mod tests {
         };
         let back = MetricsSnapshot::parse(&nan.to_jsonl()).unwrap();
         assert!(back.elapsed_s.is_nan());
+    }
+
+    #[test]
+    fn escaped_keys_decode_including_surrogate_pairs() {
+        let line = |key: &str| {
+            format!(r#"{{"elapsed_s":1,"counters":{{"{key}":3}},"gauges":{{}},"histograms":{{}}}}"#)
+        };
+        let snap = MetricsSnapshot::parse(&line(r"a\ud83d\ude00\u00e9\n中")).unwrap();
+        assert_eq!(snap.counter("a\u{1F600}é\n中"), Some(3));
+        for bad in [
+            r"\ud83d",
+            r"\ud83dx",
+            r"\ud83d\u0041",
+            r"\ude00",
+            r"\ude00\ud83d",
+            r"\ud83d\ude0",
+        ] {
+            assert!(
+                MetricsSnapshot::parse(&line(bad)).is_err(),
+                "{bad} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_without_recursion() {
+        // The parser follows the fixed snapshot grammar (at most three
+        // levels), so arbitrarily nested input fails at the first mismatch.
+        let deep = format!(
+            r#"{{"elapsed_s":1,"counters":{}"#,
+            "{\"a\":".repeat(100_000)
+        );
+        assert!(MetricsSnapshot::parse(&deep).is_err());
+        assert!(MetricsSnapshot::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -306,18 +306,19 @@ impl FrameSender {
 /// [`recv`](Self::recv) returns `Ok(None)` when the timeout strikes
 /// *between* frames. A timeout striking mid-frame keeps reading — the frame
 /// is in flight — up to a patience budget, after which the peer is treated
-/// as wedged.
+/// as wedged. Any other [`Read`] (a byte slice of recorded frames, say)
+/// decodes the same way.
 #[derive(Debug)]
-pub struct FrameReceiver {
-    stream: TcpStream,
+pub struct FrameReceiver<R = TcpStream> {
+    stream: R,
     /// Consecutive idle reads tolerated while a frame is partially
     /// received.
     mid_frame_patience: u32,
 }
 
-impl FrameReceiver {
+impl<R: Read> FrameReceiver<R> {
     /// Wraps the reading half of `stream`.
-    pub fn new(stream: TcpStream) -> Self {
+    pub fn new(stream: R) -> Self {
         FrameReceiver {
             stream,
             mid_frame_patience: 400,
@@ -523,6 +524,19 @@ mod tests {
         bogus.extend_from_slice(&0u32.to_le_bytes());
         client.write_all(&bogus).unwrap();
         assert!(matches!(rx.recv(), Err(ProtoError::Oversized(n)) if n == u32::MAX));
+    }
+
+    #[test]
+    fn deeply_nested_payload_is_malformed_not_a_crash() {
+        let deep = format!(r#"{{"Heartbeat":{}"#, r#"{"lease":"#.repeat(100_000));
+        assert!(matches!(
+            decode_payload(deep.as_bytes()),
+            Err(ProtoError::Malformed(_))
+        ));
+        assert!(matches!(
+            decode_payload("[".repeat(100_000).as_bytes()),
+            Err(ProtoError::Malformed(_))
+        ));
     }
 
     #[test]
