@@ -57,13 +57,32 @@ pub use render::{distinct_labels, print_scenario, print_table};
 
 /// Measured duration used by the figure experiments (seconds of simulated
 /// time after the warm-up). Override with the `TBP_DURATION` environment
-/// variable (e.g. `TBP_DURATION=5` for a quick pass).
+/// variable (e.g. `TBP_DURATION=5` for a quick pass). A value that is not a
+/// finite number of seconds above zero exits via [`fail_usage`]; values
+/// below 1 s run 1 s.
 pub fn measured_duration() -> Seconds {
-    let secs = std::env::var("TBP_DURATION")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(20.0);
-    Seconds::new(secs.max(1.0))
+    duration_override().unwrap_or(Seconds::new(20.0))
+}
+
+/// The `TBP_DURATION` override, or `None` when the variable is unset.
+///
+/// A value that is not a finite number of seconds above zero is a usage
+/// error: the process exits via [`fail_usage`] naming the variable, rather
+/// than running some other window than the one asked for.
+fn duration_override() -> Option<Seconds> {
+    let raw = std::env::var_os("TBP_DURATION")?;
+    Some(parse_duration(&raw.to_string_lossy()).unwrap_or_else(|e| fail_usage(e)))
+}
+
+/// Parses a `TBP_DURATION` value: a finite number of seconds above zero,
+/// raised to the 1 s floor every measured window keeps.
+fn parse_duration(raw: &str) -> Result<Seconds, String> {
+    match raw.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(Seconds::new(secs.max(1.0))),
+        _ => Err(format!(
+            "TBP_DURATION must be a finite number of seconds above 0, got `{raw}`"
+        )),
+    }
 }
 
 /// Output format of a bench binary.
@@ -526,9 +545,7 @@ pub fn override_duration(spec: ScenarioSpec, duration: Seconds) -> ScenarioSpec 
 /// A file that cannot be read or parsed is a runtime failure: the process
 /// exits via [`fail`] with a one-line diagnostic naming the file.
 pub fn load_scenarios(paths: &[PathBuf]) -> Vec<ScenarioSpec> {
-    let duration = std::env::var("TBP_DURATION")
-        .ok()
-        .map(|_| measured_duration());
+    let duration = duration_override();
     paths
         .iter()
         .map(|path| {
@@ -658,6 +675,20 @@ mod tests {
 
     fn parse(args: &[&str]) -> BatchCli {
         parse_batch_cli(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn durations_keep_the_one_second_floor() {
+        assert_eq!(parse_duration("5").unwrap().as_secs(), 5.0);
+        assert_eq!(parse_duration("0.1").unwrap().as_secs(), 1.0);
+    }
+
+    #[test]
+    fn malformed_durations_are_rejected() {
+        for raw in ["abc", "", "nan", "inf", "-inf", "-3", "0"] {
+            let err = parse_duration(raw).expect_err(raw);
+            assert!(err.starts_with("TBP_DURATION must be"), "{err}");
+        }
     }
 
     #[test]

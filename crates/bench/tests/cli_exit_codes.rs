@@ -175,3 +175,20 @@ fn reproduce_all_reports_a_broken_scenario_file_with_exit_1() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_malformed_duration_is_a_usage_error_with_exit_2() {
+    // Not a number, not finite or not above zero: each must stop before any
+    // simulation instead of running a default or clamped window.
+    for raw in ["abc", "nan", "inf", "-3"] {
+        let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
+        cmd.env("TBP_DURATION", raw)
+            .arg(scenario_file("95_phased_reconfig.toml"))
+            .arg("--csv");
+        assert_clean_failure(&run(cmd), 2, "TBP_DURATION");
+
+        let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
+        cmd.env("TBP_DURATION", raw).arg("--csv");
+        assert_clean_failure(&run(cmd), 2, "TBP_DURATION");
+    }
+}

@@ -10,6 +10,7 @@ use tbp_core::scenario::{
     load_dir, shipped, PolicyRegistry, Runner, ScenarioSpec, SpecDelta, SweepSpec, WorkloadDecl,
 };
 use tbp_core::SimError;
+use tbp_obs::{TraceReader, TrackKind};
 
 use tbp_thermal::package::PackageKind;
 
@@ -119,34 +120,80 @@ fn golden_path(file: &str) -> PathBuf {
     workspace().join("tests/golden").join(file)
 }
 
-/// Compares `actual` with the committed golden file, naming the first line
-/// that differs and the command that regenerates the file.
-fn check_golden(file: &str, actual: &str) {
+/// The shipped phased scenario's trace as `TBP_DURATION=3 run_scenario
+/// scenarios/95_phased_reconfig.toml --trace-dir <dir>` writes it: a 5 s run
+/// whose window includes the threshold retune at t = 4 s.
+fn phased_trace_at_three_seconds() -> Vec<u8> {
+    let spec = shipped()
+        .into_iter()
+        .find(|spec| spec.name == "phased-reconfig")
+        .expect("the phased scenario ships");
+    let warmup = spec.schedule().warmup.as_secs();
+    let spec = spec.with_schedule(warmup, 3.0);
+    // One directory per caller: the check and the bless may run side by side.
+    let dir = std::env::temp_dir().join(format!(
+        "tbp-golden-trace-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    Runner::new()
+        .with_trace_dir(&dir)
+        .run(&[spec])
+        .expect("phased run completes");
+    let bytes = std::fs::read(dir.join("phased-reconfig.tbptrace")).expect("trace file reads");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Compares `actual` with the committed golden file, naming the first byte
+/// (and line) that differs and the command that regenerates the file.
+fn check_golden(file: &str, actual: &[u8]) {
     let path = golden_path(file);
-    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    let expected = std::fs::read(&path).unwrap_or_default();
     let first_diff = expected
-        .lines()
-        .zip(actual.lines())
-        .position(|(a, b)| a != b);
+        .iter()
+        .zip(actual)
+        .position(|(a, b)| a != b)
+        .unwrap_or(expected.len().min(actual.len()));
+    let line = 1 + actual[..first_diff].iter().filter(|&&b| b == b'\n').count();
     assert!(
         expected == actual,
-        "{} differs from this build's output (first differing line: {:?}); if the change \
-         is intended, regenerate the golden files with `{BLESS}` and commit them",
+        "{} differs from this build's output (first difference at byte {first_diff}, \
+         line {line}); if the change is intended, regenerate the golden files with \
+         `{BLESS}` and commit them",
         path.display(),
-        first_diff.map(|i| i + 1)
     );
 }
 
 #[test]
 fn shipped_batch_csv_matches_the_golden_file() {
-    check_golden("reproduce_all_d2.csv", &shipped_csv_at_two_seconds());
+    check_golden(
+        "reproduce_all_d2.csv",
+        shipped_csv_at_two_seconds().as_bytes(),
+    );
+}
+
+/// Pins the trace format, the sampled tracks and the reconfig event records
+/// to committed bytes, not only to agreement between two runs.
+#[test]
+fn phased_trace_matches_the_golden_file() {
+    let trace = phased_trace_at_three_seconds();
+    let data = TraceReader::read(&trace).expect("trace decodes");
+    let events = data.track(TrackKind::Reconfig, 0).expect("reconfig track");
+    assert_eq!(
+        events.labels,
+        ["threshold=3"],
+        "the window holds the retune"
+    );
+    check_golden("phased_reconfig_d3.tbptrace", &trace);
 }
 
 /// A change to a scenario file, to the spec's defaults or to the hash domain
 /// shows up here.
 #[test]
 fn shipped_scenario_hashes_match_the_golden_file() {
-    check_golden("scenario_hashes.txt", &shipped_hashes());
+    check_golden("scenario_hashes.txt", shipped_hashes().as_bytes());
 }
 
 /// Rewrites the golden files from this build. Run it only after an intended
@@ -161,6 +208,11 @@ fn bless_golden_files() {
     )
     .expect("CSV writes");
     std::fs::write(golden_path("scenario_hashes.txt"), shipped_hashes()).expect("hashes write");
+    std::fs::write(
+        golden_path("phased_reconfig_d3.tbptrace"),
+        phased_trace_at_three_seconds(),
+    )
+    .expect("trace writes");
 }
 
 /// Every invalid value is rejected at the spec boundary with a
