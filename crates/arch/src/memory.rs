@@ -133,25 +133,10 @@ impl PrivateMemory {
         Watts::new(per_macro.as_watts() * self.macro_scale)
     }
 
-    /// [`power`](Self::power) with the operating point's factors precomputed
-    /// by [`PowerModel::point_scales`] (bit-identical, used by the per-step
-    /// power snapshot).
-    pub fn power_with(
-        &self,
-        model: &PowerModel,
-        scales: &crate::power::PointScales,
-        core_utilization: f64,
-        temperature: Celsius,
-    ) -> Watts {
-        let per_macro = model
-            .total_power_with(
-                ComponentKind::Memory32k.max_power(),
-                scales,
-                core_utilization.clamp(0.0, 1.0),
-                temperature,
-            )
-            .expect("clamped utilization is valid");
-        Watts::new(per_macro.as_watts() * self.macro_scale)
+    /// The `sqrt(capacity / 32 kB)` factor [`power`](Self::power) scales
+    /// the 32 kB macro's power by.
+    pub(crate) fn macro_scale(&self) -> f64 {
+        self.macro_scale
     }
 }
 

@@ -13,9 +13,9 @@ use crate::cache::{Cache, CacheConfig};
 use crate::core::{Core, CoreId};
 use crate::error::ArchError;
 use crate::floorplan::{BlockKind, Floorplan};
-use crate::freq::{DvfsScale, OperatingPoint};
+use crate::freq::{DvfsScale, Frequency, OperatingPoint, Voltage};
 use crate::memory::{PrivateMemory, SharedMemory};
-use crate::power::{CoreClass, PowerModel};
+use crate::power::{ComponentKind, CoreClass, PointScales, PowerModel, REFERENCE_VOLTAGE};
 use crate::units::{Bytes, Celsius, Seconds, Watts};
 
 /// Configuration of an [`MpsocPlatform`].
@@ -79,17 +79,14 @@ impl Default for PlatformConfig {
     }
 }
 
-/// Per-block power produced by one platform step, aligned with the
-/// floorplan's block order.
+/// Per-block power produced by one platform step, in floorplan order.
 ///
-/// Block names are copies of the platform's interned block table (built once
-/// at platform construction); the snapshot can be reused across steps via
+/// The snapshot holds only watts; block names come from
+/// [`MpsocPlatform::block_table`]. It can be reused across steps via
 /// [`MpsocPlatform::power_snapshot_into`], which rewrites the power vector in
-/// place and refreshes the names with capacity-reusing `clone_from`s, so the
-/// steady-state co-simulation step allocates nothing here.
+/// place, so the steady-state co-simulation step allocates nothing here.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerSnapshot {
-    block_names: Vec<String>,
     watts: Vec<Watts>,
 }
 
@@ -105,29 +102,121 @@ impl PowerSnapshot {
         &self.watts
     }
 
-    /// Block names, in floorplan order.
-    pub fn block_names(&self) -> &[String] {
-        &self.block_names
-    }
-
-    /// Power of the named block, if present.
-    pub fn block(&self, name: &str) -> Option<Watts> {
-        self.block_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.watts[i])
-    }
-
     /// Total chip power.
     pub fn total(&self) -> f64 {
         self.watts.iter().map(|w| w.as_watts()).sum()
     }
 }
 
+/// What sets a block's operating point and utilisation each step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Activity {
+    /// The core with this index (its tile's core, caches and memory).
+    Core(usize),
+    /// The uncore (shared memory, interconnect): bus clock and utilisation.
+    Uncore,
+}
+
+/// The constant part of one block's power: its Table 1 max power and the
+/// factor its per-component power is multiplied by (the private memory's
+/// macro scale, 1 for every other block, which leaves the bits unchanged).
+#[derive(Debug, Clone, Copy)]
+struct BlockPower {
+    max_power: Watts,
+    scale: f64,
+}
+
+/// A run of consecutive floorplan blocks that share one activity source.
+#[derive(Debug, Clone, Copy)]
+struct ActivityRun {
+    activity: Activity,
+    /// One past the run's last block index.
+    end: usize,
+}
+
+/// The power pass precomputed at platform construction: every block's
+/// constants in floorplan order, grouped into runs of one activity source,
+/// and the uncore's point scales (the bus clock and reference voltage never
+/// change).
+///
+/// Derived from the configuration, so it compares equal to any other table
+/// and stays out of equality.
+#[derive(Debug, Clone)]
+struct PowerTable {
+    blocks: Vec<BlockPower>,
+    runs: Vec<ActivityRun>,
+    uncore_scales: PointScales,
+}
+
+impl PartialEq for PowerTable {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl PowerTable {
+    fn new(
+        config: &PlatformConfig,
+        floorplan: &Floorplan,
+        private_memories: &[PrivateMemory],
+    ) -> Self {
+        let mut blocks = Vec::with_capacity(floorplan.len());
+        let mut runs: Vec<ActivityRun> = Vec::new();
+        for (i, block) in floorplan.blocks().iter().enumerate() {
+            let (activity, max_power, scale) = match block.kind {
+                BlockKind::Core(id) => (
+                    Activity::Core(id.index()),
+                    config.core_class.max_power(),
+                    1.0,
+                ),
+                BlockKind::ICache(id) => (
+                    Activity::Core(id.index()),
+                    config.icache.kind.component().max_power(),
+                    1.0,
+                ),
+                BlockKind::DCache(id) => (
+                    Activity::Core(id.index()),
+                    config.dcache.kind.component().max_power(),
+                    1.0,
+                ),
+                BlockKind::PrivateMemory(id) => (
+                    Activity::Core(id.index()),
+                    ComponentKind::Memory32k.max_power(),
+                    private_memories[id.index()].macro_scale(),
+                ),
+                // The interconnect is modelled as a shared-memory-class
+                // component driven by bus utilisation.
+                BlockKind::SharedMemory | BlockKind::Interconnect => (
+                    Activity::Uncore,
+                    ComponentKind::SharedMemory.max_power(),
+                    1.0,
+                ),
+            };
+            blocks.push(BlockPower { max_power, scale });
+            match runs.last_mut() {
+                Some(run) if run.activity == activity => run.end = i + 1,
+                _ => runs.push(ActivityRun {
+                    activity,
+                    end: i + 1,
+                }),
+            }
+        }
+        let uncore_point = OperatingPoint::new(
+            Frequency::from_mhz(config.bus.clock_mhz),
+            Voltage::new(REFERENCE_VOLTAGE),
+        );
+        PowerTable {
+            blocks,
+            runs,
+            uncore_scales: config.power.point_scales(uncore_point),
+        }
+    }
+}
+
 /// The assembled MPSoC: cores, caches, memories, bus and floorplan.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MpsocPlatform {
     config: PlatformConfig,
     floorplan: Floorplan,
@@ -138,10 +227,9 @@ pub struct MpsocPlatform {
     shared_memory: SharedMemory,
     bus: Bus,
     elapsed: Seconds,
-    /// Interned block-name table, in floorplan order. Built once at
-    /// construction so per-step power snapshots never re-clone names out of
-    /// the floorplan.
+    /// Block names, in floorplan order.
     block_names: Vec<String>,
+    power_table: PowerTable,
 }
 
 impl MpsocPlatform {
@@ -171,6 +259,7 @@ impl MpsocPlatform {
         let shared_memory = SharedMemory::new(config.shared_memory)?;
         let bus = Bus::new(config.bus)?;
         let block_names = floorplan.blocks().iter().map(|b| b.name.clone()).collect();
+        let power_table = PowerTable::new(&config, &floorplan, &private_memories);
         Ok(MpsocPlatform {
             config,
             floorplan,
@@ -182,6 +271,7 @@ impl MpsocPlatform {
             bus,
             elapsed: Seconds::ZERO,
             block_names,
+            power_table,
         })
     }
 
@@ -298,8 +388,8 @@ impl MpsocPlatform {
         self.power_snapshot_at(&uniform)
     }
 
-    /// The interned block-name table, in floorplan order (built once at
-    /// construction; [`PowerSnapshot`]s index into the same order).
+    /// Block names, in floorplan order: entry `i` names
+    /// [`PowerSnapshot::per_block`]`()[i]`.
     pub fn block_table(&self) -> &[String] {
         &self.block_names
     }
@@ -317,102 +407,44 @@ impl MpsocPlatform {
     }
 
     /// Allocation-free form of [`power_snapshot_at`](Self::power_snapshot_at):
-    /// rewrites `out` in place. The power vector is refilled index by index
-    /// and the block names are refreshed with capacity-reusing `clone_from`s
-    /// against the interned block table, so once `out` has been filled for a
-    /// platform of this shape the call performs no heap allocations.
+    /// rewrites `out` in place, so once `out` has been filled for a platform
+    /// of this shape the call performs no heap allocations.
+    ///
+    /// One walk over the table built at construction: point scales and
+    /// utilisation once per run of blocks sharing an activity source (a tile's four
+    /// blocks, the two uncore blocks), then the power arithmetic per block.
     pub fn power_snapshot_into(&self, block_temperatures: &[Celsius], out: &mut PowerSnapshot) {
         let model = &self.config.power;
-        let bus_util = self.bus_utilization_estimate();
-        // Point-dependent power factors are shared by every block of a tile
-        // (and by both uncore blocks): precompute them once per point instead
-        // of once per block. Floorplans group the four blocks of a tile, so a
-        // one-entry cache keyed by core id eliminates the recomputation; a
-        // differently-ordered floorplan merely recomputes identical values.
-        let uncore_scales = model.point_scales(self.reference_like_point());
-        let mut cached_core = usize::MAX;
-        let mut core_scales = uncore_scales;
-        let mut core_util = 0.0;
-        out.block_names.clone_from(&self.block_names);
+        let table = &self.power_table;
         out.watts.clear();
-        for (i, block) in self.floorplan.blocks().iter().enumerate() {
-            let t = block_temperatures
-                .get(i)
-                .copied()
-                .unwrap_or_else(Celsius::ambient);
-            let w = match block.kind {
-                BlockKind::Core(id)
-                | BlockKind::ICache(id)
-                | BlockKind::DCache(id)
-                | BlockKind::PrivateMemory(id) => {
-                    let idx = id.index();
-                    if idx != cached_core {
-                        let core = &self.cores[idx];
-                        core_scales = model.point_scales(self.active_point(core));
-                        core_util = core.utilization();
-                        cached_core = idx;
-                    }
-                    match block.kind {
-                        BlockKind::Core(_) => model
-                            .total_power_with(
-                                self.cores[idx].class().max_power(),
-                                &core_scales,
-                                core_util,
-                                t,
-                            )
-                            .expect("utilization is validated on set"),
-                        BlockKind::ICache(_) => model
-                            .total_power_with(
-                                self.icaches[idx].config().kind.component().max_power(),
-                                &core_scales,
-                                core_util.clamp(0.0, 1.0),
-                                t,
-                            )
-                            .expect("clamped utilization is always valid"),
-                        BlockKind::DCache(_) => model
-                            .total_power_with(
-                                self.dcaches[idx].config().kind.component().max_power(),
-                                &core_scales,
-                                core_util.clamp(0.0, 1.0),
-                                t,
-                            )
-                            .expect("clamped utilization is always valid"),
-                        _ => {
-                            self.private_memories[idx].power_with(model, &core_scales, core_util, t)
-                        }
-                    }
+        let mut start = 0;
+        for run in &table.runs {
+            let (scales, utilization) = match run.activity {
+                Activity::Core(idx) => {
+                    let core = &self.cores[idx];
+                    let point = if core.is_running() {
+                        core.operating_point()
+                    } else {
+                        OperatingPoint::new(Frequency::ZERO, core.operating_point().voltage)
+                    };
+                    (
+                        model.point_scales(point),
+                        core.utilization().clamp(0.0, 1.0),
+                    )
                 }
-                BlockKind::SharedMemory | BlockKind::Interconnect => {
-                    // The interconnect is modelled as a shared-memory-class
-                    // component driven by bus utilisation.
-                    model
-                        .total_power_with(
-                            crate::power::ComponentKind::SharedMemory.max_power(),
-                            &uncore_scales,
-                            bus_util.clamp(0.0, 1.0),
-                            t,
-                        )
-                        .expect("bus utilization is clamped")
-                }
+                Activity::Uncore => (table.uncore_scales, self.bus_utilization_estimate()),
             };
-            out.watts.push(w);
+            for i in start..run.end {
+                let block = &table.blocks[i];
+                let t = block_temperatures
+                    .get(i)
+                    .copied()
+                    .unwrap_or_else(Celsius::ambient);
+                let w = model.power_at(block.max_power, &scales, utilization, t);
+                out.watts.push(Watts::new(w.as_watts() * block.scale));
+            }
+            start = run.end;
         }
-    }
-
-    fn active_point(&self, core: &Core) -> OperatingPoint {
-        if core.is_running() {
-            core.operating_point()
-        } else {
-            OperatingPoint::new(crate::freq::Frequency::ZERO, core.operating_point().voltage)
-        }
-    }
-
-    fn reference_like_point(&self) -> OperatingPoint {
-        // The uncore runs at a fixed operating point, independent of core DVFS.
-        OperatingPoint::new(
-            crate::freq::Frequency::from_mhz(self.config.bus.clock_mhz),
-            crate::freq::Voltage::new(crate::power::REFERENCE_VOLTAGE),
-        )
     }
 
     fn bus_utilization_estimate(&self) -> f64 {
@@ -438,7 +470,13 @@ impl MpsocPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freq::Frequency;
+
+    /// Power of the named block, found through the floorplan.
+    fn block_watts(platform: &MpsocPlatform, snap: &PowerSnapshot, name: &str) -> f64 {
+        let i = platform.floorplan().index_of(name).unwrap();
+        assert_eq!(platform.block_table()[i], name);
+        snap.per_block()[i].as_watts()
+    }
 
     #[test]
     fn paper_platform_has_three_cores() {
@@ -478,14 +516,15 @@ mod tests {
         }
         let snap = platform.power_snapshot(60.0);
         assert_eq!(snap.per_block().len(), 14);
-        assert_eq!(snap.block_names().len(), 14);
+        assert_eq!(platform.block_table().len(), 14);
         assert!(snap.total() > 0.0);
-        assert!(snap.block("core0").is_some());
-        assert!(snap.block("shared_mem").is_some());
-        assert!(snap.block("nope").is_none());
+        let table = platform.block_table();
+        assert!(table.iter().any(|n| n == "core0"));
+        assert!(table.iter().any(|n| n == "shared_mem"));
+        assert!(!table.iter().any(|n| n == "nope"));
         // Core blocks dominate the budget.
-        let core_power = snap.block("core0").unwrap().as_watts();
-        let icache_power = snap.block("core0.icache").unwrap().as_watts();
+        let core_power = block_watts(&platform, &snap, "core0");
+        let icache_power = block_watts(&platform, &snap, "core0.icache");
         assert!(core_power > icache_power);
     }
 
@@ -509,7 +548,13 @@ mod tests {
             .unwrap();
         platform.power_snapshot_into(&temps, &mut reused);
         assert_eq!(platform.power_snapshot_at(&temps), reused);
-        assert_eq!(reused.block_names(), platform.block_table());
+        let names: Vec<&str> = platform
+            .floorplan()
+            .blocks()
+            .iter()
+            .map(|b| b.name.as_str())
+            .collect();
+        assert_eq!(platform.block_table(), names.as_slice());
     }
 
     #[test]
@@ -526,7 +571,7 @@ mod tests {
             .set_utilization(0.1)
             .unwrap();
         let snap = platform.power_snapshot(60.0);
-        assert!(snap.block("core0").unwrap().as_watts() > snap.block("core1").unwrap().as_watts());
+        assert!(block_watts(&platform, &snap, "core0") > block_watts(&platform, &snap, "core1"));
     }
 
     #[test]
@@ -535,21 +580,13 @@ mod tests {
         for id in platform.core_ids() {
             platform.core_mut(id).unwrap().set_utilization(0.8).unwrap();
         }
-        let fast = platform
-            .power_snapshot(60.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let fast = block_watts(&platform, &platform.power_snapshot(60.0), "core0");
         platform
             .core_mut(CoreId(0))
             .unwrap()
             .set_frequency(Frequency::from_mhz(266.0))
             .unwrap();
-        let slow = platform
-            .power_snapshot(60.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let slow = block_watts(&platform, &platform.power_snapshot(60.0), "core0");
         assert!(slow < fast);
     }
 
@@ -561,16 +598,8 @@ mod tests {
             .unwrap()
             .set_utilization(0.5)
             .unwrap();
-        let cool = platform
-            .power_snapshot(45.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
-        let hot = platform
-            .power_snapshot(95.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let cool = block_watts(&platform, &platform.power_snapshot(45.0), "core0");
+        let hot = block_watts(&platform, &platform.power_snapshot(95.0), "core0");
         assert!(hot > cool);
     }
 

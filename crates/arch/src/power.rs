@@ -312,6 +312,21 @@ impl PowerModel {
         if !(0.0..=1.0).contains(&utilization) {
             return Err(ArchError::InvalidUtilization(utilization));
         }
+        Ok(self.power_at(max_power, scales, utilization, temperature))
+    }
+
+    /// The arithmetic of [`total_power_with`](Self::total_power_with) without
+    /// its range check: the per-step power pass calls it with utilisations
+    /// that are already in `[0, 1]` (validated on set, or clamped).
+    #[inline]
+    pub fn power_at(
+        &self,
+        max_power: Watts,
+        scales: &PointScales,
+        utilization: f64,
+        temperature: Celsius,
+    ) -> Watts {
+        debug_assert!((0.0..=1.0).contains(&utilization));
         let dynamic = if scales.zero_frequency {
             Watts::ZERO
         } else {
@@ -323,7 +338,7 @@ impl PowerModel {
         let delta_t = temperature.as_celsius() - self.leakage_reference.as_celsius();
         let t_scale = (delta_t / self.leakage_doubling).exp2();
         let leakage = Watts::new(base * scales.voltage_scale * t_scale);
-        Ok(dynamic + leakage)
+        dynamic + leakage
     }
 }
 

@@ -108,3 +108,97 @@ proptest! {
         prop_assert!((back - cycles).abs() / cycles < 1e-9);
     }
 }
+
+proptest! {
+    /// Every block of the power snapshot equals, bit for bit, the power of
+    /// the component that block stands for, evaluated through that
+    /// component's own method at the block's temperature: a tile's core,
+    /// caches and private memory at the core's active point, and the shared
+    /// memory and interconnect at the bus clock and reference voltage, driven
+    /// by the bus's busy share of the elapsed time.
+    #[test]
+    fn power_snapshot_blocks_match_their_components(
+        cores_pick in 0usize..4,
+        utils in proptest::collection::vec(0.0f64..=1.0, 32),
+        levels in proptest::collection::vec(0usize..64, 32),
+        halted in proptest::collection::vec(0u32..4, 32),
+        traffic_kib in 0u64..512,
+        steps in 0usize..4,
+        temps in proptest::collection::vec(20.0f64..=150.0, 130),
+    ) {
+        use tbp_arch::cache::Cache;
+        use tbp_arch::floorplan::BlockKind;
+        use tbp_arch::freq::{OperatingPoint, Voltage};
+        use tbp_arch::power::{ComponentKind, REFERENCE_VOLTAGE};
+
+        let n = [1, 3, 12, 32][cores_pick];
+        let mut platform =
+            MpsocPlatform::new(PlatformConfig::paper_default().with_cores(n)).unwrap();
+        let points = platform.config().dvfs.points().to_vec();
+        for i in 0..n {
+            let core = platform.core_mut(CoreId(i)).unwrap();
+            core.set_utilization(utils[i]).unwrap();
+            core.set_frequency(points[levels[i] % points.len()].frequency).unwrap();
+            if halted[i] == 0 {
+                core.halt();
+            }
+        }
+        platform.offer_shared_traffic(Bytes::from_kib(traffic_kib));
+        for _ in 0..steps {
+            platform.step(Seconds::from_millis(5.0));
+        }
+        let block_temps: Vec<Celsius> = temps[..platform.floorplan().len()]
+            .iter()
+            .map(|&t| Celsius::new(t))
+            .collect();
+        let snapshot = platform.power_snapshot_at(&block_temps);
+
+        let config = platform.config().clone();
+        let model = &config.power;
+        let bus_point = OperatingPoint::new(
+            Frequency::from_mhz(config.bus.clock_mhz),
+            Voltage::new(REFERENCE_VOLTAGE),
+        );
+        let bus_util = if platform.elapsed() == Seconds::ZERO {
+            0.0
+        } else {
+            (platform.bus().busy_time() / platform.elapsed()).clamp(0.0, 1.0)
+        };
+        prop_assert_eq!(snapshot.per_block().len(), platform.floorplan().len());
+        for (i, block) in platform.floorplan().blocks().iter().enumerate() {
+            let t = block_temps[i];
+            let active = |id: CoreId| {
+                let core = platform.core(id).unwrap();
+                if core.is_running() {
+                    core.operating_point()
+                } else {
+                    OperatingPoint::new(Frequency::ZERO, core.operating_point().voltage)
+                }
+            };
+            let util = |id: CoreId| platform.core(id).unwrap().utilization();
+            let expected = match block.kind {
+                BlockKind::Core(id) => platform.core(id).unwrap().power(model, t),
+                BlockKind::ICache(id) => Cache::new(id, config.icache)
+                    .unwrap()
+                    .power(model, active(id), util(id), t),
+                BlockKind::DCache(id) => Cache::new(id, config.dcache)
+                    .unwrap()
+                    .power(model, active(id), util(id), t),
+                BlockKind::PrivateMemory(id) => platform
+                    .private_memory(id)
+                    .unwrap()
+                    .power(model, active(id), util(id), t),
+                BlockKind::SharedMemory | BlockKind::Interconnect => model
+                    .component_power(ComponentKind::SharedMemory, bus_point, bus_util, t)
+                    .unwrap(),
+            };
+            prop_assert_eq!(
+                snapshot.per_block()[i].as_watts().to_bits(),
+                expected.as_watts().to_bits(),
+                "block {} of a {}-core platform",
+                block.name,
+                n
+            );
+        }
+    }
+}

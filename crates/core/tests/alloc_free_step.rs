@@ -16,12 +16,11 @@
 //! another with live metrics counters attached (registration allocates,
 //! relaxed atomic updates never do).
 //!
-//! The counter is process-global, so this file contains a single `#[test]`
-//! (integration tests compile to their own binary; the libtest harness would
-//! otherwise interleave counts from concurrently running tests).
+//! The counter is per thread, so the file's tests can run concurrently:
+//! each window counts only the allocations of the thread that measures it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tbp_arch::units::Seconds;
 use tbp_core::scenario::ScenarioSpec;
@@ -35,33 +34,32 @@ use tbp_thermal::solver::SolverKind;
 /// never call the allocator anyway, so counting `alloc`/`realloc` is the
 /// signal that matters).
 ///
-/// Counting is gated on a `const`-initialised thread-local so only the
-/// *test thread's* allocations are measured: the libtest harness keeps its
-/// own main thread alive alongside the test, and its occasional bookkeeping
-/// allocations would otherwise land inside the measured window and fail the
-/// assertion spuriously (observed as a rare "allocated 2 times" flake). The
-/// const initialiser matters — a lazily initialised thread-local would
-/// itself allocate on first access from the allocator hooks.
+/// The count is a `const`-initialised thread-local, so a window measures
+/// only the *test thread's* allocations. Other threads allocate meanwhile:
+/// the libtest main thread, and the thread of a concurrently running test,
+/// whose harness sends its result through a channel when it finishes (a
+/// process-global count let that allocation land in another test's window,
+/// failing release builds as "allocated 1 times"). The const initialiser
+/// matters — a lazily initialised thread-local would itself allocate on first
+/// access from the allocator hooks.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(|c| c.get()).unwrap_or(false)
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
-// SAFETY: pure pass-through to `System`; the only extra work is a lock-free
-// counter bump, so `System`'s layout/ptr contracts are forwarded unchanged.
+// SAFETY: pure pass-through to `System`; the only extra work is a bump of a
+// const-initialised thread-local counter, which never allocates, so
+// `System`'s layout/ptr contracts are forwarded unchanged.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc`'s contract; forwarded verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         // SAFETY: same layout the caller passed in.
         unsafe { System.alloc(layout) }
     }
@@ -74,9 +72,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: caller upholds `GlobalAlloc`'s contract; forwarded verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         // SAFETY: `ptr`, `layout` and `new_size` forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -85,10 +81,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Starts counting this thread's allocations and returns the baseline.
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    COUNTING.with(|c| c.set(true));
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(|c| c.get())
 }
 
 fn build(package: Package, solver: SolverKind, workload: Workload) -> Simulation {
